@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import urllib.parse
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
 from ..exceptions import LogFormatError
 
@@ -81,14 +81,52 @@ def parse_access_log_line(line: str) -> LogEntry:
     )
 
 
+def _query_parameter(query_string: str) -> Optional[str]:
+    """The decoded first ``query`` parameter of a URL query string.
+
+    Returns exactly what ``parse_qs(query_string,
+    keep_blank_values=True).get("query", [None])[0]`` does, without
+    decoding the other parameters: fields split on ``&``, empty fields
+    are skipped, a field without ``=`` has a blank value, and names and
+    values decode with ``+`` as space and UTF-8 ``%`` escapes (invalid
+    bytes become U+FFFD).
+    """
+    for field in query_string.split("&"):
+        if not field:
+            continue
+        name, _, value = field.partition("=")
+        if name == "query" or (
+            "%" in name and urllib.parse.unquote(name.replace("+", " ")) == "query"
+        ):
+            return urllib.parse.unquote(value.replace("+", " "))
+    return None
+
+
 def iter_queries(lines: Iterable[str]) -> Iterator[str]:
     """Extract the query texts from access-log *lines*, skipping
     non-query lines (malformed lines are skipped too — cleaning, not
-    validation, happens here)."""
+    validation, happens here).
+
+    Yields what :func:`parse_access_log_line` decodes into
+    ``LogEntry.query``.  Endpoint logs repeat the same requests many
+    times, so each distinct request target is decoded once per call and
+    its repeats yield the same string; the memo holds one entry per
+    distinct target, the same bound as the parse cache's one per
+    distinct text.
+    """
+    decoded: Dict[str, Optional[str]] = {}
+    match_request = _REQUEST_RE.match
     for line in lines:
-        try:
-            entry = parse_access_log_line(line)
-        except LogFormatError:
+        match = match_request(line)
+        if match is None:
             continue
-        if entry.query is not None:
-            yield entry.query
+        path = match.group("path")
+        try:
+            query = decoded[path]
+        except KeyError:
+            query = None
+            if "?" in path:
+                query = _query_parameter(path.partition("?")[2])
+            decoded[path] = query
+        if query is not None:
+            yield query

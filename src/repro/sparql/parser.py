@@ -17,10 +17,9 @@ Total from Valid in Table 1; the paper used Jena 3.0.1).
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..exceptions import SparqlSyntaxError
-from ..rdf.namespaces import NamespaceManager
 from ..rdf.terms import (
     IRI,
     XSD_BOOLEAN,
@@ -84,7 +83,10 @@ class Parser:
     def __init__(self, text: str, extra_prefixes: Optional[dict] = None) -> None:
         self._tokens = tokenize(text)
         self._pos = 0
-        self._namespaces = NamespaceManager(extra_prefixes or {})
+        # The caller's prefix mapping is shared, never mutated: the
+        # first PREFIX declaration switches to a private copy.
+        self._prefixes: Mapping[str, str] = extra_prefixes or {}
+        self._own_prefixes: Optional[Dict[str, str]] = None
         self._base: Optional[str] = None
         self._prefix_decls: List[Tuple[str, str]] = []
         self._bnode_counter = itertools.count()
@@ -92,9 +94,10 @@ class Parser:
     # ------------------------------------------------------------------
     # Token-stream helpers
     # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        # The list ends with EOF and _next never moves past it, so the
+        # current index is always in range.
+        return self._tokens[self._pos]
 
     def _next(self) -> Token:
         token = self._tokens[self._pos]
@@ -176,7 +179,10 @@ class Parser:
                     raise self._error("expected IRI after PREFIX")
                 self._next()
                 namespace = self._resolve_iri(iri_token.value)
-                self._namespaces.bind(prefix, namespace)
+                if self._own_prefixes is None:
+                    self._own_prefixes = dict(self._prefixes)
+                    self._prefixes = self._own_prefixes
+                self._own_prefixes[prefix] = namespace
                 self._prefix_decls.append((prefix, namespace))
             elif token.is_keyword("BASE"):
                 self._next()
@@ -690,7 +696,7 @@ class Parser:
         if token.type == TokenType.PNAME:
             self._next()
             prefix, _, local = token.value.partition(":")
-            namespace = self._namespaces.namespace_for(prefix)
+            namespace = self._prefixes.get(prefix)
             if namespace is None:
                 raise self._error(f"undeclared prefix {prefix!r}", token)
             local = local.replace("\\", "")
@@ -850,7 +856,7 @@ class Parser:
             return self._parse_bracketted_expression()
         if token.is_keyword("EXISTS", "NOT"):
             return self._parse_exists()
-        if token.type == TokenType.KEYWORD and token.value.upper() in BUILTIN_NAMES:
+        if token.keyword in BUILTIN_NAMES:
             return self._parse_builtin_call()
         if token.type in (TokenType.IRIREF, TokenType.PNAME):
             return self._parse_iri_function_or_term()
@@ -962,7 +968,7 @@ class Parser:
         if token.is_keyword("EXISTS", "NOT"):
             return self._parse_exists()
         if token.type == TokenType.KEYWORD:
-            upper = token.value.upper()
+            upper = token.keyword
             if upper in AGGREGATE_NAMES:
                 return self._parse_aggregate()
             if upper in BUILTIN_NAMES:
@@ -982,7 +988,7 @@ class Parser:
 
     def _parse_builtin_call(self) -> ast.BuiltinCall:
         name_token = self._next()
-        name = name_token.value.upper()
+        name = name_token.keyword
         token = self._peek()
         if token.type == TokenType.NIL:
             self._next()
@@ -998,7 +1004,7 @@ class Parser:
 
     def _parse_aggregate(self) -> ast.Aggregate:
         name_token = self._next()
-        name = name_token.value.upper()
+        name = name_token.keyword
         self._expect_punct("(")
         distinct = self._accept_keyword("DISTINCT")
         if name == "COUNT" and self._accept_punct("*"):
@@ -1069,7 +1075,7 @@ class Parser:
                     else:
                         self._expect_punct(")")
                         group_by.append(expression)
-                elif token.type == TokenType.KEYWORD and token.value.upper() in BUILTIN_NAMES:
+                elif token.keyword in BUILTIN_NAMES:
                     group_by.append(self._parse_builtin_call())
                 elif token.type in (TokenType.IRIREF, TokenType.PNAME):
                     group_by.append(self._parse_iri_function_or_term())
@@ -1080,10 +1086,7 @@ class Parser:
 
         if self._accept_keyword("HAVING"):
             having.append(self._parse_constraint())
-            while self._peek().is_punct("(") or (
-                self._peek().type == TokenType.KEYWORD
-                and self._peek().value.upper() in BUILTIN_NAMES
-            ):
+            while self._peek().is_punct("(") or self._peek().keyword in BUILTIN_NAMES:
                 having.append(self._parse_constraint())
 
         if self._accept_keyword("ORDER"):
@@ -1092,7 +1095,7 @@ class Parser:
                 token = self._peek()
                 if token.is_keyword("ASC", "DESC"):
                     self._next()
-                    descending = token.value.upper() == "DESC"
+                    descending = token.keyword == "DESC"
                     order_by.append(
                         ast.OrderCondition(
                             self._parse_bracketted_expression(), descending
@@ -1107,10 +1110,7 @@ class Parser:
                     order_by.append(
                         ast.OrderCondition(self._parse_bracketted_expression())
                     )
-                elif (
-                    token.type == TokenType.KEYWORD
-                    and token.value.upper() in BUILTIN_NAMES
-                ):
+                elif token.keyword in BUILTIN_NAMES:
                     order_by.append(ast.OrderCondition(self._parse_builtin_call()))
                 else:
                     break

@@ -1,12 +1,22 @@
 """SPARQL 1.1 lexer.
 
-Turns a query string into a stream of :class:`Token` objects.  The lexer
+Turns a query string into a list of :class:`Token` objects.  The lexer
 covers the full terminal vocabulary the parser needs: IRI references,
 prefixed names, blank-node labels, variables (``?x``/``$x``), string
 literals in all four quote forms, numeric literals, language tags,
 keywords/identifiers, property-path and expression punctuation, and
-comments.  Positions (1-based line/column) are tracked for error
-messages, which the log pipeline surfaces when counting invalid queries.
+comments.
+
+Scanning is one compiled master regex, matched at the current offset:
+its leading part skips whitespace and comments, and its named groups
+are the terminals in priority order (strings, IRIs, variables, blank
+nodes, language tags, numbers, ANON/NIL, prefixed names, keywords,
+punctuation), so the first alternative that matches wins.  Only string
+literals with escapes, newlines or the long quote forms leave the regex
+for a small scanner that decodes them.  Positions (1-based line/column,
+for error messages the log pipeline surfaces when counting invalid
+queries) are derived from match offsets; the line number is only
+recomputed when a token starts past the next newline.
 
 Paper mapping: first stage of the sec 2 validity check (Table 1).
 """
@@ -14,8 +24,7 @@ Paper mapping: first stage of the sec 2 validity check (Table 1).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List, Optional, Tuple
 
 from ..exceptions import SparqlSyntaxError
 
@@ -41,22 +50,41 @@ class TokenType:
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
 class Token:
-    """One lexical token with its source position."""
+    """One lexical token with its source position.
 
-    type: str
-    value: str
-    line: int
-    column: int
+    ``keyword`` is the upper-cased value of a ``KEYWORD`` token (``None``
+    for every other type), computed once so keyword tests are a plain
+    comparison.
+    """
+
+    __slots__ = ("type", "value", "line", "column", "keyword")
+
+    def __init__(self, type: str, value: str, line: int, column: int) -> None:
+        self.type = type
+        self.value = value
+        self.line = line
+        self.column = column
+        self.keyword: Optional[str] = value.upper() if type == TokenType.KEYWORD else None
 
     def is_keyword(self, *words: str) -> bool:
-        """Whether this token is one of the given keywords."""
-        return self.type == TokenType.KEYWORD and self.value.upper() in words
+        """Whether this token is one of the given (upper-case) keywords."""
+        return self.keyword in words
 
     def is_punct(self, *symbols: str) -> bool:
         """Whether this token is one of the given punctuation symbols."""
         return self.type == TokenType.PUNCT and self.value in symbols
+
+    def _key(self) -> Tuple[str, str, int, int]:
+        return (self.type, self.value, self.line, self.column)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Token({self.type}, {self.value!r}, {self.line}:{self.column})"
@@ -69,25 +97,99 @@ _PN_BASE = "A-Za-zÀ-ÖØ-öø-˿Ͱ-ͽͿ-῿" \
 _PN_U = _PN_BASE + "_"
 _PN_CHARS = _PN_U + r"0-9·̀-ͯ‿-⁀-"
 
-_IRIREF_RE = re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")
-_VAR_RE = re.compile(rf"[?$]([{_PN_U}0-9][{_PN_U}0-9·̀-ͯ‿-⁀]*)")
-# Local part allows dots internally, percent-escapes and backslash escapes (PN_LOCAL).
 _PLX = r"(?:%[0-9A-Fa-f]{2}|\\[_~.\-!$&'()*+,;=/?#@%])"
-_PNAME_RE = re.compile(
-    rf"(?:[{_PN_BASE}][{_PN_CHARS}.]*[{_PN_CHARS}]|[{_PN_BASE}])?:"
-    rf"(?:(?:[{_PN_U}0-9:]|{_PLX})(?:(?:[{_PN_CHARS}.:]|{_PLX})*(?:[{_PN_CHARS}:]|{_PLX}))?)?"
-)
-_BLANK_RE = re.compile(rf"_:[{_PN_U}0-9](?:[{_PN_CHARS}.]*[{_PN_CHARS}])?")
-_LANGTAG_RE = re.compile(r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
-_NUMBER_RE = re.compile(
-    r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-)
-_KEYWORD_RE = re.compile(rf"[{_PN_BASE}_][{_PN_U}0-9]*")
 
-# Multi-character punctuation, longest first.
-_MULTI_PUNCT = ("^^", "||", "&&", "!=", "<=", ">=")
+# The terminals, as the alternatives of the master regex.  At each
+# offset the first alternative that matches wins, exactly as a lexer
+# trying them one after another.  Where two terminals can start with the
+# same character the order is the lexer's priority: numbers before
+# prefixed names and keywords (some letters of other scripts are decimal
+# digits), blank nodes before keywords, prefixed names before keywords
+# (so "rdf:type" is one PNAME), IRIs, variables, ANON/NIL and numbers
+# before the punctuation they start with.  Terminals with a first
+# character of their own are ordered by frequency in the logs.  None of
+# them contains a capturing group, so ``match.lastindex`` names the
+# terminal that matched.
+_TERMINALS = (
+    # Punctuation that starts no other terminal; multi-character forms
+    # first.
+    ("PUNCT", r"\^\^|\|\||&&|!=|>=|[{})\];,*/|^+!>=\-&]"),
+    ("VAR", rf"[?$][{_PN_U}0-9][{_PN_U}0-9·̀-ͯ‿-⁀]*"),
+    # One numeric terminal split three ways by its shape.
+    ("DOUBLE", r"(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+"),
+    ("DECIMAL", r"\d+\.\d*|\.\d+"),
+    ("INTEGER", r"\d+"),
+    ("BLANK_NODE", rf"_:[{_PN_U}0-9](?:[{_PN_CHARS}.]*[{_PN_CHARS}])?"),
+    # PN_LOCAL allows dots internally, percent-escapes and backslash
+    # escapes.  The lookahead rejects plain words before the
+    # backtracking search for a ':'.
+    (
+        "PNAME",
+        rf"(?=[{_PN_CHARS}.]*:)"
+        rf"(?:[{_PN_BASE}][{_PN_CHARS}.]*[{_PN_CHARS}]|[{_PN_BASE}])?:"
+        rf"(?:(?:[{_PN_U}0-9:]|{_PLX})(?:(?:[{_PN_CHARS}.:]|{_PLX})*(?:[{_PN_CHARS}:]|{_PLX}))?)?",
+    ),
+    ("KEYWORD", rf"[{_PN_BASE}_][{_PN_U}0-9]*"),
+    ("IRIREF", r"<[^<>\"{}|^`\\\x00-\x20]*>"),
+    # String literals.  Short forms without escapes match whole; every
+    # other string (long form, escapes, a newline in a short form, no
+    # closing quote) matches only its opener and goes to _scan_string.
+    ("LONG_STRING", r'"""|' r"'''"),
+    ("STRING", r'"[^"\\\n\r]*"|' r"'[^'\\\n\r]*'"),
+    ("OPEN_STRING", r"[\"']"),
+    # ANON [] and NIL () — whitespace inside is allowed.
+    ("ANON", r"\[[ \t\r\n]*\]"),
+    ("NIL", r"\([ \t\r\n]*\)"),
+    # Punctuation whose first character may start an IRI, a variable,
+    # a number, ANON or NIL.
+    ("OTHER_PUNCT", r"<=|[(\[.<?]"),
+    ("LANGTAG", r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"),
+    ("COMMENT", r"#[^\n]*"),
+    ("EOF", r"\Z"),
+)
 
-_STRING_OPENERS = ('"""', "'''", '"', "'")
+# Whitespace before a token.  No terminal starts with whitespace, so
+# when no terminal matches, backtracking into this run only fails.
+_MASTER = re.compile(
+    r"[ \t\r\n]*(?:"
+    + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TERMINALS)
+    + ")"
+)
+_WHITESPACE_RE = re.compile(r"[ \t\r\n]*")
+
+_GROUP = _MASTER.groupindex
+_VAR = _GROUP["VAR"]
+_PNAME = _GROUP["PNAME"]
+_IRIREF = _GROUP["IRIREF"]
+_STRING = _GROUP["STRING"]
+_SCANNED_STRINGS = (_GROUP["LONG_STRING"], _GROUP["OPEN_STRING"])
+_BLANK_NODE = _GROUP["BLANK_NODE"]
+_LANGTAG = _GROUP["LANGTAG"]
+_ANON = _GROUP["ANON"]
+_NIL = _GROUP["NIL"]
+_COMMENT = _GROUP["COMMENT"]
+
+# Terminals whose token value is the matched text.
+_PLAIN = {
+    _GROUP[name]: token_type
+    for name, token_type in (
+        ("PUNCT", TokenType.PUNCT),
+        ("OTHER_PUNCT", TokenType.PUNCT),
+        ("KEYWORD", TokenType.KEYWORD),
+        ("INTEGER", TokenType.INTEGER),
+        ("DECIMAL", TokenType.DECIMAL),
+        ("DOUBLE", TokenType.DOUBLE),
+    )
+}
+
+# Where a string literal's body stops: its closing quote, an escape,
+# or (short forms only) a line break, which is an error.
+_STRING_STOPS = {
+    '"""': re.compile(r'"""|\\'),
+    "'''": re.compile(r"'''|\\"),
+    '"': re.compile(r'["\\\n\r]'),
+    "'": re.compile(r"['\\\n\r]"),
+}
 
 _ECHAR = {
     "t": "\t",
@@ -101,91 +203,46 @@ _ECHAR = {
 }
 
 
-class _Cursor:
-    """Tracks position in the source text with line/column accounting."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def eof(self) -> bool:
-        """Whether the cursor is at end of input."""
-        return self.pos >= len(self.text)
-
-    def peek(self, offset: int = 0) -> str:
-        """The token *offset* ahead of the cursor (EOF-safe)."""
-        index = self.pos + offset
-        if index < len(self.text):
-            return self.text[index]
-        return ""
-
-    def startswith(self, prefix: str) -> bool:
-        """Whether the upcoming characters start with *prefix*."""
-        return self.text.startswith(prefix, self.pos)
-
-    def advance(self, count: int) -> str:
-        """Consume and return the next *count* characters."""
-        chunk = self.text[self.pos : self.pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return chunk
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """The 1-based (line, column) of *offset* in *text*."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _scan_string(cursor: _Cursor) -> str:
-    """Scan a string literal at the cursor; return its *decoded* value."""
-    opener = next(o for o in _STRING_OPENERS if cursor.startswith(o))
-    start_line, start_col = cursor.line, cursor.column
-    cursor.advance(len(opener))
-    long_form = len(opener) == 3
+def _scan_string(text: str, start: int, opener: str) -> Tuple[str, int]:
+    """Decode the string literal whose *opener* starts at *start*.
+
+    Returns the decoded value and the offset just past the closing
+    quote.
+    """
+    stop = _STRING_STOPS[opener].search
+    pos = start + len(opener)
     out: List[str] = []
     while True:
-        if cursor.eof():
-            raise SparqlSyntaxError("unterminated string literal", start_line, start_col)
-        if cursor.startswith(opener):
-            cursor.advance(len(opener))
-            return "".join(out)
-        ch = cursor.peek()
-        if ch == "\\":
-            escape = cursor.peek(1)
-            if escape in _ECHAR:
-                out.append(_ECHAR[escape])
-                cursor.advance(2)
-            elif escape == "u":
-                code = cursor.text[cursor.pos + 2 : cursor.pos + 6]
-                try:
-                    out.append(chr(int(code, 16)))
-                except ValueError:
-                    raise SparqlSyntaxError(
-                        f"bad \\u escape: {code!r}", cursor.line, cursor.column
-                    ) from None
-                cursor.advance(6)
-            elif escape == "U":
-                code = cursor.text[cursor.pos + 2 : cursor.pos + 10]
-                try:
-                    out.append(chr(int(code, 16)))
-                except ValueError:
-                    raise SparqlSyntaxError(
-                        f"bad \\U escape: {code!r}", cursor.line, cursor.column
-                    ) from None
-                cursor.advance(10)
-            else:
+        found = stop(text, pos)
+        if found is None:
+            raise SparqlSyntaxError("unterminated string literal", *_position(text, start))
+        at = found.start()
+        out.append(text[pos:at])
+        symbol = found.group()
+        if symbol == opener:
+            return "".join(out), found.end()
+        if symbol != "\\":
+            raise SparqlSyntaxError("newline in short string literal", *_position(text, at))
+        escape = text[at + 1 : at + 2]
+        if escape in _ECHAR:
+            out.append(_ECHAR[escape])
+            pos = at + 2
+        elif escape == "u" or escape == "U":
+            pos = at + (6 if escape == "u" else 10)
+            code = text[at + 2 : pos]
+            try:
+                out.append(chr(int(code, 16)))
+            except ValueError:
                 raise SparqlSyntaxError(
-                    f"unknown string escape: \\{escape}", cursor.line, cursor.column
-                )
-        elif not long_form and ch in "\n\r":
-            raise SparqlSyntaxError(
-                "newline in short string literal", cursor.line, cursor.column
-            )
+                    f"bad \\{escape} escape: {code!r}", *_position(text, at)
+                ) from None
         else:
-            out.append(ch)
-            cursor.advance(1)
+            raise SparqlSyntaxError(f"unknown string escape: \\{escape}", *_position(text, at))
 
 
 def tokenize(text: str) -> List[Token]:
@@ -194,122 +251,63 @@ def tokenize(text: str) -> List[Token]:
     Raises :class:`SparqlSyntaxError` on characters that cannot start
     any SPARQL token.
     """
-    cursor = _Cursor(text)
     tokens: List[Token] = []
-    while not cursor.eof():
-        ch = cursor.peek()
-        if ch in " \t\r\n":
-            cursor.advance(1)
-            continue
-        if ch == "#":
-            while not cursor.eof() and cursor.peek() != "\n":
-                cursor.advance(1)
-            continue
-        line, column = cursor.line, cursor.column
+    append = tokens.append
+    match = _MASTER.match
+    plain = _PLAIN
+    pos = 0
+    line = 1
+    line_start = 0
+    # Offset of the first newline at or after line_start; a token that
+    # starts beyond it moves the line count forward.
+    next_newline = text.find("\n")
+    if next_newline < 0:
+        next_newline = len(text)
+    while True:
+        found = match(text, pos)
+        if found is None:
+            at = _WHITESPACE_RE.match(text, pos).end()
+            if text[at] == "@":
+                raise SparqlSyntaxError("bad language tag", *_position(text, at))
+            raise SparqlSyntaxError(f"unexpected character {text[at]!r}", *_position(text, at))
+        group = found.lastindex
+        start, pos = found.span(group)
+        if start > next_newline:
+            line += text.count("\n", next_newline, start)
+            line_start = text.rfind("\n", next_newline, start) + 1
+            next_newline = text.find("\n", start)
+            if next_newline < 0:
+                next_newline = len(text)
+        column = start - line_start + 1
+        kind = plain.get(group)
+        if kind is not None:
+            append(Token(kind, text[start:pos], line, column))
+        elif group == _VAR:
+            append(Token(TokenType.VAR, text[start + 1 : pos], line, column))
+        elif group == _PNAME:
+            value = text[start:pos]
+            if value[-1] == ".":
+                # A trailing '.' (only reachable through a '\.' escape)
+                # ends the triple rather than the name.
+                value = value.rstrip(".")
+                pos = start + len(value)
+            append(Token(TokenType.PNAME, value, line, column))
+        elif group == _IRIREF:
+            append(Token(TokenType.IRIREF, text[start + 1 : pos - 1], line, column))
+        elif group == _STRING:
+            append(Token(TokenType.STRING, text[start + 1 : pos - 1], line, column))
+        elif group in _SCANNED_STRINGS:
+            value, pos = _scan_string(text, start, text[start:pos])
+            append(Token(TokenType.STRING, value, line, column))
+        elif group == _BLANK_NODE:
+            append(Token(TokenType.BLANK_NODE, text[start + 2 : pos], line, column))
+        elif group == _LANGTAG:
+            append(Token(TokenType.LANGTAG, text[start + 1 : pos], line, column))
+        elif group == _ANON:
+            append(Token(TokenType.ANON, "[]", line, column))
+        elif group == _NIL:
+            append(Token(TokenType.NIL, "()", line, column))
+        elif group != _COMMENT:
+            append(Token(TokenType.EOF, "", line, column))
+            return tokens
 
-        # Strings must be checked before punctuation (quote chars).
-        if any(cursor.startswith(o) for o in _STRING_OPENERS):
-            value = _scan_string(cursor)
-            tokens.append(Token(TokenType.STRING, value, line, column))
-            continue
-
-        if ch == "<":
-            match = _IRIREF_RE.match(cursor.text, cursor.pos)
-            if match:
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.IRIREF, match.group(1), line, column))
-                continue
-            # Not an IRI: fall through to '<' / '<=' operator.
-
-        if ch in "?$":
-            match = _VAR_RE.match(cursor.text, cursor.pos)
-            if match:
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.VAR, match.group(1), line, column))
-                continue
-            # A bare '?' is the property-path "zero or one" operator.
-
-        if ch == "_" and cursor.peek(1) == ":":
-            match = _BLANK_RE.match(cursor.text, cursor.pos)
-            if match:
-                value = match.group(0)[2:]
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.BLANK_NODE, value, line, column))
-                continue
-
-        if ch == "@":
-            match = _LANGTAG_RE.match(cursor.text, cursor.pos)
-            if match:
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.LANGTAG, match.group(0)[1:], line, column))
-                continue
-            raise SparqlSyntaxError("bad language tag", line, column)
-
-        if ch.isdigit() or (ch == "." and cursor.peek(1).isdigit()):
-            match = _NUMBER_RE.match(cursor.text, cursor.pos)
-            assert match is not None
-            value = match.group(0)
-            cursor.advance(len(value))
-            if "e" in value.lower():
-                token_type = TokenType.DOUBLE
-            elif "." in value:
-                token_type = TokenType.DECIMAL
-            else:
-                token_type = TokenType.INTEGER
-            tokens.append(Token(token_type, value, line, column))
-            continue
-
-        # ANON [] and NIL () — significant whitespace inside is allowed.
-        if ch == "[":
-            match = re.compile(r"\[[ \t\r\n]*\]").match(cursor.text, cursor.pos)
-            if match:
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.ANON, "[]", line, column))
-                continue
-        if ch == "(":
-            match = re.compile(r"\([ \t\r\n]*\)").match(cursor.text, cursor.pos)
-            if match:
-                cursor.advance(match.end() - cursor.pos)
-                tokens.append(Token(TokenType.NIL, "()", line, column))
-                continue
-
-        # Prefixed names (must come before keyword so "rdf:type" lexes
-        # as one PNAME, and before ':' punctuation).
-        match = _PNAME_RE.match(cursor.text, cursor.pos)
-        if match and match.group(0):
-            value = match.group(0)
-            # Strip trailing dot ambiguity: "ns:local." ends a triple.
-            while value.endswith("."):
-                value = value[:-1]
-            if ":" in value:
-                cursor.advance(len(value))
-                tokens.append(Token(TokenType.PNAME, value, line, column))
-                continue
-
-        keyword_match = _KEYWORD_RE.match(cursor.text, cursor.pos)
-        if keyword_match:
-            value = keyword_match.group(0)
-            cursor.advance(len(value))
-            tokens.append(Token(TokenType.KEYWORD, value, line, column))
-            continue
-
-        for punct in _MULTI_PUNCT:
-            if cursor.startswith(punct):
-                cursor.advance(len(punct))
-                tokens.append(Token(TokenType.PUNCT, punct, line, column))
-                break
-        else:
-            if ch in "{}()[];,.*/|^?+!<>=-&":
-                cursor.advance(1)
-                tokens.append(Token(TokenType.PUNCT, ch, line, column))
-            else:
-                raise SparqlSyntaxError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token(TokenType.EOF, "", cursor.line, cursor.column))
-    return tokens
-
-
-def iter_significant(tokens: List[Token]) -> Iterator[Token]:
-    """All tokens except EOF (convenience for feature counting)."""
-    for token in tokens:
-        if token.type != TokenType.EOF:
-            yield token

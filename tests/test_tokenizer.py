@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import SparqlSyntaxError
+from repro.rdf.turtle import TurtleError, loads
 from repro.sparql import TokenType, tokenize
 
 
@@ -123,3 +124,74 @@ class TestCommentsAndPositions:
     def test_eof_token_always_present(self):
         assert tokenize("")[-1].type == TokenType.EOF
         assert tokenize("?x")[-1].type == TokenType.EOF
+
+
+def positions(text):
+    return [(t.value, t.line, t.column) for t in tokenize(text)]
+
+
+class TestPositionsAcrossLines:
+    """Line/column come from match offsets; these pin the edge cases."""
+
+    def test_token_after_multiline_long_string(self):
+        tokens = tokenize('SELECT """a\nb\nc""" ?x')
+        assert (tokens[1].line, tokens[1].column) == (1, 8)
+        assert (tokens[2].value, tokens[2].line, tokens[2].column) == ("x", 3, 6)
+
+    def test_token_after_comment(self):
+        assert positions("# comment\n  ?x # trailing\n?y") == [
+            ("x", 2, 3), ("y", 3, 1), ("", 3, 3),
+        ]
+
+    def test_crlf_line_endings(self):
+        assert positions("SELECT\r\n?x\r\n  ?y") == [
+            ("SELECT", 1, 1), ("x", 2, 1), ("y", 3, 3), ("", 3, 5),
+        ]
+
+    def test_bare_carriage_return_is_a_column(self):
+        assert positions("?a\r?b")[1] == ("b", 1, 4)
+
+    def test_tab_before_token(self):
+        assert positions("\t?x")[0] == ("x", 1, 2)
+        assert positions("SELECT\n\t\t?x")[1] == ("x", 2, 3)
+
+    def test_token_after_multiline_anon_and_nil(self):
+        assert positions("[\n] (\n\n) ?z")[2] == ("z", 4, 3)
+
+    def test_error_after_newlines(self):
+        with pytest.raises(SparqlSyntaxError) as info:
+            tokenize('SELECT """x\ny""" ?a\r\n\t~')
+        assert (info.value.line, info.value.column) == (3, 2)
+        assert str(info.value) == "unexpected character '~' at line 3, column 2"
+
+    def test_string_errors_carry_their_position(self):
+        with pytest.raises(SparqlSyntaxError) as info:
+            tokenize('?x\n  "ab\\q"')
+        assert str(info.value) == "unknown string escape: \\q at line 2, column 6"
+        with pytest.raises(SparqlSyntaxError) as info:
+            tokenize('?x\n  """never closed\n')
+        assert str(info.value) == "unterminated string literal at line 2, column 3"
+        with pytest.raises(SparqlSyntaxError) as info:
+            tokenize("'a\nb'")
+        assert str(info.value) == "newline in short string literal at line 1, column 3"
+
+    def test_turtle_error_position(self):
+        with pytest.raises(TurtleError, match=r"found '\.' at line 3, column 19$"):
+            loads("<urn:a> <urn:b> <urn:c> .\n\n  <urn:d> <urn:e> .")
+        with pytest.raises(TurtleError, match=r"^unexpected character '~' at line 3, column 10$"):
+            loads('<urn:a> <urn:b> """x\ny""" ;\r\n\t<urn:c> ~ .')
+
+
+class TestKeywordCase:
+    def test_keyword_upper_cased_once(self):
+        token = tokenize("select")[0]
+        assert token.keyword == "SELECT"
+        assert token.is_keyword("SELECT") and not token.is_keyword("select")
+
+    def test_non_keywords_have_no_keyword(self):
+        assert all(t.keyword is None for t in tokenize('?select "select" <select> rdf:type'))
+        assert not tokenize("?select")[0].is_keyword("SELECT")
+
+    def test_non_decimal_digit_is_a_syntax_error(self):
+        with pytest.raises(SparqlSyntaxError, match="unexpected character"):
+            tokenize("LIMIT \u00b2")
