@@ -15,17 +15,22 @@ watch cycles):
 * **Resumable source cursors.**  Each tailed file carries a logical
   byte offset (raw bytes for plain files, decompressed bytes for gzip
   — recognized by magic, and readable across appended gzip members)
-  plus a SHA-256 fingerprint of the consumed prefix.  Every cycle
-  re-verifies the fingerprint while skipping the prefix, so a
-  truncated, rotated, or rewritten source raises
+  plus SHA-256 digests of two windows of the consumed prefix: its
+  first :data:`VERIFY_WINDOW` bytes and the :data:`VERIFY_WINDOW`
+  bytes ending at the cursor.  Every cycle re-verifies both windows
+  and seeks past the rest, so resuming costs O(window), not
+  O(history), and a truncated, rotated, or rewritten source raises
   :class:`~repro.exceptions.WatchStateError` instead of silently
-  double-counting history.  Cycles advance only past *complete* entry
+  double-counting history.  While the prefix is at most two windows
+  long the windows cover all of it; beyond that, a same-length edit
+  strictly between them goes undetected (the documented contract of
+  invariant 12).  Cycles advance only past *complete* entry
   boundaries (the last newline; for block format, the last blank
   line), so a writer flushing mid-entry never splits one; ``drain``
   consumes the unterminated tail on a final cycle.
 * **Cross-cycle deduplication.**  Table 1's Unique column and every
-  main-body measurement run over first occurrences.  The checkpoint
-  carries the SHA-256 digests of all unique texts seen, so each cycle
+  main-body measurement run over first occurrences.  The state
+  directory keeps the SHA-256 digests of all unique texts seen, so each cycle
   measures exactly the queries whose first occurrence falls in its
   slice — concatenated across cycles, that is precisely the one-shot
   unique stream, in order.
@@ -42,14 +47,24 @@ the sharded drivers use — so datasets growing in interleaved cycles
 still report with exactly the one-shot counter order (one-shot runs
 fold each dataset to completion before the next).
 
-Durability: cursors, seen-digests, and the per-dataset study snapshots
-are one JSON *checkpoint* document written with a single atomic
-replace — a crashed or SIGKILLed cycle leaves either the previous
-checkpoint or the new one, never a torn cursor/study pair, so
-resuming re-reads at most one suffix (``tests/test_watch.py``
-kill-tests this).  A convenience copy of the combined study is kept
-next to it for ``repro report`` / ``repro merge``; it is derived
-state, rewritten every cycle.
+Durability: cursors and the per-dataset study snapshots are one JSON
+*checkpoint* document written with a single atomic replace — a crashed
+or SIGKILLed cycle leaves either the previous checkpoint or the new
+one, never a torn cursor/study pair, so resuming re-reads at most one
+suffix (``tests/test_watch.py`` kill-tests this).  The seen digests
+live beside it in one append-only journal per dataset (raw 32-byte
+digests, :data:`JOURNAL_PATTERN`): a cycle appends and fsyncs its new
+digests *before* the checkpoint replace, and the checkpoint records
+each journal's committed length.  A kill between the two leaves a
+journal longer than its committed length; resume truncates that torn
+tail, so the journal and the checkpoint always agree.  A journal
+*shorter* than its committed length lost data and fails loudly.  A
+convenience copy of the combined study is kept next to it for
+``repro report`` / ``repro merge``; it is derived state, written just
+before the checkpoint on every cycle that ingested something (a kill
+between the two leaves it ahead of the checkpoint, and the resumed
+cycle re-ingests that same suffix and rewrites it).  Idle cycles only
+bump the checkpoint's generation.
 
 Limits, by design: watch analyses the Unique corpus (``dedup=True``)
 only; the entry format of a file is detected once, at its first
@@ -63,6 +78,7 @@ import gzip
 import hashlib
 import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -73,6 +89,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -108,17 +125,30 @@ CHECKPOINT_KIND = "repro.watch_checkpoint"
 #: Version of the checkpoint layout (the embedded study dicts carry
 #: their own snapshot schema version and migrate independently, so a
 #: checkpoint written before a snapshot schema bump keeps loading).
-CHECKPOINT_SCHEMA_VERSION = 1
+#: Schema 1 carried full-prefix cursor fingerprints and the seen
+#: digests inline; it still loads, is verified once with the full
+#: prefix hash, and is rewritten as schema 2 by the next cycle.
+CHECKPOINT_SCHEMA_VERSION = 2
 
-#: File names inside a watch state directory.
+#: File names inside a watch state directory.  Seen-digest journals
+#: are named by the dataset's input position.
 CHECKPOINT_NAME = "checkpoint.json"
 STUDY_NAME = "study.json"
+JOURNAL_PATTERN = "seen-{}.digests"
 
+#: Bytes hashed at each end of a cursor's consumed prefix on resume.
+VERIFY_WINDOW = 64 << 10
+
+_DIGEST_SIZE = hashlib.sha256().digest_size
 _READ_CHUNK = 1 << 20
 
 
-def _text_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _text_digest(text: str) -> bytes:
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
+def _window_digest(window: bytes) -> str:
+    return hashlib.sha256(window).hexdigest()
 
 
 def _open_logical(path: Path) -> BinaryIO:
@@ -181,15 +211,24 @@ class _SourceCursor:
     path: str
     format: Optional[str] = None  # pinned at the first non-empty read
     offset: int = 0  # consumed logical bytes
-    fingerprint: str = ""  # sha256 of the consumed logical prefix
+    head: str = ""  # sha256 of the first VERIFY_WINDOW consumed bytes
+    tail: str = ""  # sha256 of the VERIFY_WINDOW bytes ending at offset
+    legacy: Optional[str] = None  # schema-1 full-prefix fingerprint
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        document: Dict[str, Any] = {
             "path": self.path,
             "format": self.format,
             "offset": self.offset,
-            "fingerprint": self.fingerprint,
         }
+        if self.legacy is not None:
+            # Not re-verified since a schema-1 load (its file left the
+            # dataset): keep the fingerprint it can still be checked by.
+            document["fingerprint"] = self.legacy
+        else:
+            document["head"] = self.head
+            document["tail"] = self.tail
+        return document
 
     @classmethod
     def from_dict(cls, data: Any, where: str) -> "_SourceCursor":
@@ -198,52 +237,108 @@ class _SourceCursor:
         path = data.get("path")
         format = data.get("format")
         offset = data.get("offset")
-        fingerprint = data.get("fingerprint")
+        legacy = data.get("fingerprint")
+        head, tail = data.get("head", ""), data.get("tail", "")
         if (
             not isinstance(path, str)
             or (format is not None and format not in _PARSERS)
             or not isinstance(offset, int)
             or isinstance(offset, bool)
             or offset < 0
-            or not isinstance(fingerprint, str)
+            or not (legacy is None or isinstance(legacy, str))
+            or not isinstance(head, str)
+            or not isinstance(tail, str)
         ):
             raise WatchStateError(f"{where}: malformed cursor {data!r}")
         return cls(
-            path=path, format=format, offset=offset, fingerprint=fingerprint
+            path=path,
+            format=format,
+            offset=offset,
+            head=head,
+            tail=tail,
+            legacy=legacy,
         )
+
+    def _shrank(self) -> WatchStateError:
+        return WatchStateError(
+            f"watched source {self.path}: shrank below the "
+            f"{self.offset}-byte cursor (truncated or rotated)"
+        )
+
+    def _rewritten(self) -> WatchStateError:
+        return WatchStateError(
+            f"watched source {self.path}: consumed prefix was "
+            "rewritten behind the cursor (rotated or edited)"
+        )
+
+    def _read_exact(self, stream: BinaryIO, size: int) -> bytes:
+        data = stream.read(size)
+        if len(data) < size:
+            raise self._shrank()
+        return data
+
+    def _verified_windows(self, stream: BinaryIO) -> Tuple[bytes, bytes]:
+        """Check the consumed prefix; return its head and tail windows.
+
+        Leaves *stream* positioned at the cursor.  Only the two windows
+        are read (a plain file seeks past the middle; a gzip stream's
+        seek decompresses it, unhashed), so a prefix of at most two
+        windows is checked whole and a longer one at both ends.
+        """
+        offset = self.offset
+        if self.legacy is not None:
+            head, tail = self._verified_legacy_prefix(stream)
+            self.head, self.tail = _window_digest(head), _window_digest(tail)
+            self.legacy = None
+            return head, tail
+        head = self._read_exact(stream, min(offset, VERIFY_WINDOW))
+        skip_to = max(offset - VERIFY_WINDOW, len(head))
+        stream.seek(skip_to)
+        tail = (head + self._read_exact(stream, offset - skip_to))[
+            -VERIFY_WINDOW:
+        ]
+        if offset and (
+            _window_digest(head) != self.head
+            or _window_digest(tail) != self.tail
+        ):
+            raise self._rewritten()
+        return head, tail
+
+    def _verified_legacy_prefix(self, stream: BinaryIO) -> Tuple[bytes, bytes]:
+        """Schema-1 check: hash the whole prefix against the old
+        fingerprint, once, collecting the windows on the way."""
+        hasher = hashlib.sha256()
+        head = tail = b""
+        remaining = self.offset
+        while remaining:
+            chunk = stream.read(min(_READ_CHUNK, remaining))
+            if not chunk:
+                raise self._shrank()
+            hasher.update(chunk)
+            head += chunk[: VERIFY_WINDOW - len(head)]
+            tail = (tail + chunk)[-VERIFY_WINDOW:]
+            remaining -= len(chunk)
+        if self.offset and hasher.hexdigest() != self.legacy:
+            raise self._rewritten()
+        return head, tail
 
     def read_new_entries(self, drain: bool) -> List[str]:
         """Verify the consumed prefix, consume complete new entries.
 
-        Advances ``offset``/``fingerprint`` past the consumed region
-        and returns its raw query texts (empty when nothing complete is
-        new).  Raises :class:`WatchStateError` when the on-disk prefix
-        no longer matches what the study already folded in.
+        Advances ``offset`` and the window digests past the consumed
+        region and returns its raw query texts (empty when nothing
+        complete is new).  Raises :class:`WatchStateError` when the
+        on-disk prefix no longer matches what the study already folded
+        in, as far as the two verified windows can tell.
         """
-        path = Path(self.path)
-        hasher = hashlib.sha256()
         try:
-            stream = _open_logical(path)
+            stream = _open_logical(Path(self.path))
         except OSError as error:
             raise WatchStateError(
                 f"watched source {self.path}: unreadable ({error})"
             ) from error
         with stream:
-            remaining = self.offset
-            while remaining:
-                chunk = stream.read(min(_READ_CHUNK, remaining))
-                if not chunk:
-                    raise WatchStateError(
-                        f"watched source {self.path}: shrank below the "
-                        f"{self.offset}-byte cursor (truncated or rotated)"
-                    )
-                hasher.update(chunk)
-                remaining -= len(chunk)
-            if self.offset and hasher.hexdigest() != self.fingerprint:
-                raise WatchStateError(
-                    f"watched source {self.path}: consumed prefix was "
-                    "rewritten behind the cursor (rotated or edited)"
-                )
+            head, tail = self._verified_windows(stream)
             data = stream.read()
         if not data:
             return []
@@ -257,9 +352,9 @@ class _SourceCursor:
         if not consumable:
             return []
         region = data[:consumable]
-        hasher.update(region)
         self.offset += consumable
-        self.fingerprint = hasher.hexdigest()
+        self.head = _window_digest(head + region[: VERIFY_WINDOW - len(head)])
+        self.tail = _window_digest((tail + region[-VERIFY_WINDOW:])[-VERIFY_WINDOW:])
         return list(_PARSERS[self.format](iter(_region_lines(region))))
 
 
@@ -321,6 +416,7 @@ class WatchSession:
         self._datasets: Tuple[Tuple[str, str], ...] = tuple(
             zip(names, self.inputs)
         )
+        self._positions = {name: index for index, name in enumerate(names)}
         self.state_dir = Path(state_dir)
         self.checkpoint_path = self.state_dir / CHECKPOINT_NAME
         self.study_path = self.state_dir / STUDY_NAME
@@ -354,7 +450,11 @@ class WatchSession:
         self.generation = 0
         self._studies: Dict[str, CorpusStudy] = {}
         self._cursors: Dict[str, _SourceCursor] = {}
-        self._seen: Dict[str, set] = {}
+        self._seen: Dict[str, Set[bytes]] = {}
+        # Per dataset: journal bytes the checkpoint vouches for, and
+        # digests seen since that are not in the journal yet.
+        self._journaled: Dict[str, int] = {}
+        self._unjournaled: Dict[str, List[bytes]] = {}
         if self.checkpoint_path.exists():
             self._load_checkpoint()
 
@@ -400,9 +500,10 @@ class WatchSession:
             ) from error
         if not isinstance(data, dict) or data.get("kind") != CHECKPOINT_KIND:
             raise WatchStateError(f"{where}: not a watch checkpoint")
-        if data.get("schema") != CHECKPOINT_SCHEMA_VERSION:
+        schema = data.get("schema")
+        if schema not in (1, CHECKPOINT_SCHEMA_VERSION):
             raise WatchStateError(
-                f"{where}: checkpoint schema {data.get('schema')!r} is not "
+                f"{where}: checkpoint schema {schema!r} is not "
                 f"{CHECKPOINT_SCHEMA_VERSION} (written by another version?)"
             )
         if tuple(data.get("inputs", ())) != self.inputs:
@@ -424,14 +525,26 @@ class WatchSession:
         if not isinstance(cursors, list):
             raise WatchStateError(f"{where}: malformed cursors")
         known = {name for name, _ in self._datasets}
-        seen = data.get("seen")
-        if not isinstance(seen, dict) or not set(seen) <= known:
-            raise WatchStateError(f"{where}: malformed seen-digest map")
-        for digests in seen.values():
-            if not isinstance(digests, list) or not all(
-                isinstance(digest, str) for digest in digests
-            ):
-                raise WatchStateError(f"{where}: malformed seen-digest map")
+        if schema == 1:
+            seen, unjournaled = self._legacy_seen(data.get("seen"), known, where)
+            journaled = {name: 0 for name in seen}
+        else:
+            journaled = data.get("journals")
+            if not isinstance(journaled, dict) or not set(journaled) <= known:
+                raise WatchStateError(f"{where}: malformed journal lengths")
+            for length in journaled.values():
+                if (
+                    not isinstance(length, int)
+                    or isinstance(length, bool)
+                    or length < 0
+                    or length % _DIGEST_SIZE
+                ):
+                    raise WatchStateError(f"{where}: malformed journal lengths")
+            seen = {
+                name: self._read_journal(name, length)
+                for name, length in journaled.items()
+            }
+            unjournaled = {}
         studies = data.get("studies")
         if not isinstance(studies, dict) or set(studies) != known:
             raise WatchStateError(
@@ -451,10 +564,88 @@ class WatchSession:
         for entry in cursors:
             cursor = _SourceCursor.from_dict(entry, where)
             self._cursors[cursor.path] = cursor
-        self._seen = {name: set(digests) for name, digests in seen.items()}
+        self._seen = seen
+        self._journaled = journaled
+        self._unjournaled = unjournaled
         self._studies = loaded
 
-    def _write_checkpoint(self) -> None:
+    @staticmethod
+    def _legacy_seen(
+        seen: Any, known: Set[str], where: str
+    ) -> Tuple[Dict[str, Set[bytes]], Dict[str, List[bytes]]]:
+        """Schema 1 carried hex digests inline; they all go to journals."""
+        malformed = WatchStateError(f"{where}: malformed seen-digest map")
+        if not isinstance(seen, dict) or not set(seen) <= known:
+            raise malformed
+        sets: Dict[str, Set[bytes]] = {}
+        for name, digests in seen.items():
+            try:
+                sets[name] = {bytes.fromhex(digest) for digest in digests}
+            except (TypeError, ValueError):
+                raise malformed from None
+            if any(len(digest) != _DIGEST_SIZE for digest in sets[name]):
+                raise malformed
+        return sets, {name: sorted(digests) for name, digests in sets.items()}
+
+    def _journal_path(self, name: str) -> Path:
+        return self.state_dir / JOURNAL_PATTERN.format(self._positions[name])
+
+    def _read_journal(self, name: str, length: int) -> Set[bytes]:
+        """The digests of *name*'s journal up to its committed length.
+
+        A longer file holds the torn tail of a cycle killed between its
+        journal append and its checkpoint replace; it is truncated.
+        """
+        path = self._journal_path(name)
+        if not length and not path.exists():
+            return set()
+        try:
+            with path.open("r+b") as handle:
+                size = os.fstat(handle.fileno()).st_size
+                if size > length:
+                    handle.truncate(length)
+                data = handle.read(length)
+        except OSError as error:
+            raise WatchStateError(
+                f"{path}: unreadable seen-digest journal ({error})"
+            ) from error
+        if len(data) < length:
+            raise WatchStateError(
+                f"{path}: seen-digest journal has {len(data)} bytes, "
+                f"fewer than the {length} the checkpoint committed"
+            )
+        return {
+            data[start : start + _DIGEST_SIZE]
+            for start in range(0, length, _DIGEST_SIZE)
+        }
+
+    def _append_journals(self) -> None:
+        """Append and fsync every digest not yet journaled."""
+        for name, digests in self._unjournaled.items():
+            if not digests:
+                continue
+            committed = self._journaled.get(name, 0)
+            # A fresh journal overwrites whatever an uncommitted run
+            # may have left under its name.
+            with self._journal_path(name).open("ab" if committed else "wb") as handle:
+                handle.write(b"".join(digests))
+                handle.flush()
+                os.fsync(handle.fileno())
+            self._journaled[name] = committed + len(digests) * _DIGEST_SIZE
+        self._unjournaled = {}
+
+    def _write_checkpoint(self, combined: Optional[CorpusStudy]) -> None:
+        """Persist the cycle; *combined* (the derived study) is ``None``
+        on idle cycles, which leave ``study.json`` untouched."""
+        self.state_dir.mkdir(parents=True, exist_ok=True)
+        if combined is not None:
+            # Derived convenience snapshot (repro report / merge load
+            # it; resume never does).  Written first: a kill before the
+            # checkpoint replace leaves it ahead, and the resumed cycle
+            # re-ingests the same suffix and rewrites it.
+            save_study(combined, self.study_path)
+        # The journals must hold every digest the checkpoint commits.
+        self._append_journals()
         document = {
             "kind": CHECKPOINT_KIND,
             "schema": CHECKPOINT_SCHEMA_VERSION,
@@ -462,25 +653,19 @@ class WatchSession:
             "inputs": list(self.inputs),
             "config": self._config_dict(),
             "cursors": [cursor.to_dict() for cursor in self._cursors.values()],
-            "seen": {
-                name: sorted(digests) for name, digests in self._seen.items()
-            },
+            "journals": dict(self._journaled),
             "studies": {
                 name: study_to_dict(self._studies[name])
                 for name, _ in self._datasets
             },
         }
-        self.state_dir.mkdir(parents=True, exist_ok=True)
-        # One atomic replace carries cursors AND studies: a kill leaves
-        # the previous checkpoint or this one, never a torn pair.
+        # One atomic replace carries cursors, journal lengths and
+        # studies: a kill leaves the previous checkpoint or this one,
+        # never a torn set.
         atomic_write_text(
             self.checkpoint_path,
             json.dumps(document, separators=(",", ":")) + "\n",
         )
-        # Derived convenience snapshot (repro report / merge load it);
-        # resume never reads it, so a kill between the two writes
-        # merely leaves it one cycle stale until the next rewrite.
-        save_study(self.study, self.study_path)
 
     # -- the cycle ----------------------------------------------------
 
@@ -497,8 +682,6 @@ class WatchSession:
         # without the reporting layer (and vice versa).
         from ..reporting.reporters import render_rows_diff, study_long_rows
 
-        previous = self.study
-        previous_rows = [] if previous is None else study_long_rows(previous)
         first = not self._studies
         new_texts: Dict[str, List[str]] = {}
         for name, spec in self._datasets:
@@ -512,32 +695,36 @@ class WatchSession:
             new_texts[name] = texts
         counts = {name: len(texts) for name, texts in new_texts.items()}
         changed = any(counts.values())
-        deltas: Dict[str, CorpusStudy] = {}
-        if changed or first:
-            # The first cycle folds every dataset in, entries or not,
-            # so the study lists them exactly like a one-shot run
-            # would; later cycles only touch datasets that grew.
-            corpora = {
-                name: texts
-                for name, texts in new_texts.items()
-                if first or texts
-            }
-            logs = build_query_logs_parallel(
-                corpora,
-                self.extra_prefixes,
-                workers=1,
-                options=self.options,
-            )
-            for name in corpora:
-                delta = self._measure_delta(name, logs[name])
-                deltas[name] = delta
-                if name in self._studies:
-                    self._studies[name].merge(delta)
-                else:
-                    self._studies[name] = delta
         self.generation += 1
-        self._write_checkpoint()
-        if deltas and self.warehouse_path is not None:
+        if not (changed or first):
+            # Idle: nothing to fold or diff; the checkpoint still
+            # records the generation (and any advanced cursors).
+            self._write_checkpoint(None)
+            return WatchCycle(generation=self.generation, new_entries=counts)
+        previous_rows = [] if first else study_long_rows(self.study)
+        # The first cycle folds every dataset in, entries or not, so
+        # the study lists them exactly like a one-shot run would;
+        # later cycles only touch datasets that grew.
+        corpora = {
+            name: texts for name, texts in new_texts.items() if first or texts
+        }
+        logs = build_query_logs_parallel(
+            corpora,
+            self.extra_prefixes,
+            workers=1,
+            options=self.options,
+        )
+        deltas: Dict[str, CorpusStudy] = {}
+        for name in corpora:
+            delta = self._measure_delta(name, logs[name])
+            deltas[name] = delta
+            if name in self._studies:
+                self._studies[name].merge(delta)
+            else:
+                self._studies[name] = delta
+        combined = self.study
+        self._write_checkpoint(combined)
+        if self.warehouse_path is not None:
             # The warehouse accumulates by merging, so it gets the
             # cycle's *delta* (cumulative checkpoints would
             # double-count); its merged study then tracks the
@@ -553,12 +740,11 @@ class WatchSession:
                     cycle_delta,
                     source=f"watch:{self.state_dir}@{self.generation}",
                 )
-        diff = render_rows_diff(previous_rows, study_long_rows(self.study))
         return WatchCycle(
             generation=self.generation,
             new_entries=counts,
             changed=changed,
-            diff=diff,
+            diff=render_rows_diff(previous_rows, study_long_rows(combined)),
         )
 
     def _measure_delta(self, name: str, log: QueryLog) -> CorpusStudy:
@@ -576,12 +762,14 @@ class WatchSession:
         study = CorpusStudy(dedup=True)
         try:
             seen = self._seen.setdefault(name, set())
+            unjournaled = self._unjournaled.setdefault(name, [])
             fresh: List[ParsedQuery] = []
             for parsed in log.unique_queries():
                 digest = _text_digest(parsed.text)
                 if digest in seen:
                     continue
                 seen.add(digest)
+                unjournaled.append(digest)
                 fresh.append(parsed)
             stats = DatasetStats(
                 name=name,

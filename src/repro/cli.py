@@ -736,8 +736,8 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="DIR",
         help="state directory holding the resumable checkpoint "
-        "(checkpoint.json + study.json; created on first use, resumed "
-        "on every later run)",
+        "(checkpoint.json, seen-digest journals and study.json; created "
+        "on first use, resumed on every later run)",
     )
     watch.add_argument(
         "--cycles",

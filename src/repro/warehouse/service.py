@@ -104,6 +104,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "WarehouseServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two sends; with Nagle on, a keep-alive
+    # client's delayed ACK would hold the body back ~40 ms.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
 
@@ -141,16 +144,20 @@ class _Handler(BaseHTTPRequestHandler):
         segments = [part for part in parsed.path.split("/") if part]
         query = parse_qs(parsed.query)
         try:
-            with self.server.lock:
-                self._route(segments, query)
-        except _BadRequest as error:
-            self._error(HTTPStatus.BAD_REQUEST, str(error))
-        except WarehouseError as error:
-            # Empty warehouse / missing table data are "not found";
-            # anything else over a valid route is a server-side problem.
-            self._error(HTTPStatus.NOT_FOUND, str(error))
-        except BrokenPipeError:  # pragma: no cover - client went away
-            pass
+            try:
+                with self.server.lock:
+                    self._route(segments, query)
+            except _BadRequest as error:
+                self._error(HTTPStatus.BAD_REQUEST, str(error))
+            except WarehouseError as error:
+                # Empty warehouse / missing table data are "not found";
+                # anything else over a valid route is a server-side
+                # problem.
+                self._error(HTTPStatus.NOT_FOUND, str(error))
+        except ConnectionError:
+            # The client went away mid-response (reset or broken pipe):
+            # nothing to answer, and the socket is done.
+            self.close_connection = True
 
     def _route(self, segments: List[str], query: Dict[str, List[str]]) -> None:
         warehouse = self.server.warehouse

@@ -375,7 +375,9 @@ class StudyWarehouse:
                 raise WarehouseError(
                     f"cannot ingest {source}: {error}"
                 ) from error
-        body = json.dumps(study_to_dict(merged), indent=2)
+        # Compact: only study() reads the body back, and indent=2 would
+        # force json's pure-Python encoder (older indented bodies load).
+        body = json.dumps(study_to_dict(merged), separators=(",", ":"))
         try:
             with self._connection:
                 self._connection.execute(

@@ -88,6 +88,37 @@ class TestIngest:
                 oneshot.ingest(merged)
                 assert incremental.render("text") == oneshot.render("text")
 
+    def test_study_body_is_compact_and_indented_bodies_load(
+        self, tmp_path, shard_studies
+    ):
+        """The stored study document is compact JSON; a body written
+        indented (as older warehouses did) still loads and renders."""
+        study_a, study_b = shard_studies
+        path = tmp_path / "w.db"
+        with StudyWarehouse.open(path) as handle:
+            handle.ingest(study_a)
+            expected = handle.render("text")
+        connection = sqlite3.connect(path)
+        try:
+            (body,) = connection.execute("SELECT body FROM study").fetchone()
+            assert "\n" not in body
+            with connection:
+                connection.execute(
+                    "UPDATE study SET body = ?",
+                    (json.dumps(json.loads(body), indent=2),),
+                )
+        finally:
+            connection.close()
+        with StudyWarehouse.open(path) as handle:
+            assert handle.render("text") == expected
+            handle.ingest(study_b)
+            assert handle.render("text") == render_report(
+                build_study({"alpha": QUERY_POOL + QUERY_POOL[:4]}).merge(
+                    build_study({"beta": QUERY_POOL[:6]})
+                ),
+                "text",
+            )
+
     def test_ingest_does_not_mutate_caller_study(self, tmp_path):
         study_a = build_study({"alpha": QUERY_POOL})
         before = render_report(study_a, "json")

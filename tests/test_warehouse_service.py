@@ -6,8 +6,10 @@ contract: ``GET /report`` returns byte-for-byte what ``repro report``
 prints for the equivalently merged snapshot.
 """
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -18,7 +20,12 @@ from repro.api import analyze_corpora
 from repro.exceptions import WarehouseError
 from repro.reporting import render_report
 from repro.warehouse import StudyWarehouse
-from repro.warehouse.service import DEFAULT_LIMIT, MAX_LIMIT, start_server
+from repro.warehouse.service import (
+    DEFAULT_LIMIT,
+    MAX_LIMIT,
+    _Handler,
+    start_server,
+)
 
 QUERY_POOL = [
     "SELECT ?x WHERE { ?x <urn:p> ?y }",
@@ -187,3 +194,45 @@ class TestErrors:
         for thread in threads:
             thread.join(timeout=10)
         assert results == [200] * 8
+
+
+class TestConnectionHandling:
+    def test_keep_alive_responses_do_not_stall(self, server):
+        """Headers and body leave in two sends; with Nagle's algorithm
+        on, the client's delayed ACK holds each body back ~40 ms."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/datasets")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive GETs took {elapsed:.3f}s"
+
+    def test_client_reset_mid_write_is_quiet(self, server):
+        """A reset while the response is written ends the exchange
+        without reaching the server's traceback-printing error hook."""
+
+        class ResetStream:
+            def write(self, data):
+                raise ConnectionResetError("connection reset by peer")
+
+            def flush(self):
+                pass
+
+        handler = _Handler.__new__(_Handler)
+        handler.server = server
+        handler.path = "/datasets"
+        handler.command = "GET"
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = "GET /datasets HTTP/1.1"
+        handler.client_address = ("127.0.0.1", 0)
+        handler.close_connection = False
+        handler.wfile = ResetStream()
+        handler.do_GET()
+        assert handler.close_connection is True

@@ -23,6 +23,7 @@ layers here:
 """
 
 import gzip
+import hashlib
 import json
 import random
 import subprocess
@@ -33,7 +34,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.incremental import _consumable_length, WatchSession
+from repro.analysis import incremental
+from repro.analysis.incremental import (
+    JOURNAL_PATTERN,
+    VERIFY_WINDOW,
+    WatchSession,
+    _consumable_length,
+)
 from repro.analysis.snapshot import load_study, streaks_from_dict
 from repro.analysis.streaks import StreakAccumulator
 from repro.api import analyze_corpora
@@ -807,3 +814,265 @@ class TestWatchCli:
         source.write_text("tiny\n", encoding="utf-8")
         assert main(base) == 2
         assert "shrank below" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Bounded resume: window-verified cursors, the seen-digest journal, idle
+# cycles and the schema-1 checkpoint migration.
+# ---------------------------------------------------------------------------
+
+CHEAP = ("shallow",)
+# ~1 KB per entry, so a few hundred entries put the cursor well past
+# both verification windows; the padding is a SPARQL comment.
+PADDED = [f"{text} # {'pad ' * 240}" for text in POOL]
+
+
+def padded_lines(count, start=0):
+    return [PADDED[(start + index) % len(PADDED)] for index in range(count)]
+
+
+def cheap_session(source, state):
+    return WatchSession([str(source)], state, metrics=CHEAP)
+
+
+def cheap_one_shot(texts):
+    return analyze_corpora({"day": list(texts)}, metrics=CHEAP).study
+
+
+class TestBoundedVerification:
+    """Resume checks a head window and a tail window of the consumed
+    prefix; what that detects, and the one edit it cannot see."""
+
+    def make_long(self, tmp_path, count=400):
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, padded_lines(count))
+        cheap_session(source, state).cycle()
+        offset = source.stat().st_size
+        assert offset > 3 * VERIFY_WINDOW
+        return source, state, offset
+
+    @staticmethod
+    def flip(source, position):
+        data = bytearray(source.read_bytes())
+        data[position] = ord("Q") if data[position] != ord("Q") else ord("R")
+        source.write_bytes(bytes(data))
+
+    def test_edit_inside_head_window_detected(self, tmp_path):
+        source, state, _ = self.make_long(tmp_path)
+        self.flip(source, VERIFY_WINDOW // 2)
+        with pytest.raises(WatchStateError, match="rewritten behind"):
+            cheap_session(source, state).cycle()
+
+    def test_edit_inside_tail_window_detected(self, tmp_path):
+        source, state, offset = self.make_long(tmp_path)
+        self.flip(source, offset - VERIFY_WINDOW // 2)
+        write_lines(source, padded_lines(3))
+        with pytest.raises(WatchStateError, match="rewritten behind"):
+            cheap_session(source, state).cycle()
+
+    def test_truncate_and_regrow_larger_detected(self, tmp_path):
+        """Same inode, head window intact, size past the old cursor:
+        only the tail window can tell, and it does."""
+        source, state, offset = self.make_long(tmp_path)
+        data = source.read_bytes()
+        source.write_bytes(data[: offset // 2])
+        while source.stat().st_size <= offset + 100:
+            write_lines(source, padded_lines(50, start=7))
+        assert source.read_bytes()[:VERIFY_WINDOW] == data[:VERIFY_WINDOW]
+        with pytest.raises(WatchStateError, match="rewritten behind"):
+            cheap_session(source, state).cycle()
+
+    def test_same_length_edit_between_windows_not_detected(self, tmp_path):
+        """The documented contract (invariant 12): a same-length edit
+        strictly between the two windows goes unseen; the cycle simply
+        continues from the cursor."""
+        source, state, offset = self.make_long(tmp_path)
+        self.flip(source, offset // 2)
+        write_lines(source, padded_lines(5, start=3))
+        outcome = cheap_session(source, state).cycle()
+        assert outcome.new_entries["day"] == 5
+
+    def test_short_prefix_is_checked_whole(self, tmp_path):
+        """Up to two windows long, the windows cover every byte."""
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, padded_lines(110))
+        cheap_session(source, state).cycle()
+        offset = source.stat().st_size
+        assert VERIFY_WINDOW < offset <= 2 * VERIFY_WINDOW
+        self.flip(source, offset // 2)
+        with pytest.raises(WatchStateError, match="rewritten behind"):
+            cheap_session(source, state).cycle()
+
+    def test_gzip_members_resume_past_two_windows(self, tmp_path):
+        source, state = tmp_path / "day.rq.gz", tmp_path / "state"
+        slices = [padded_lines(300), padded_lines(40, 5), padded_lines(30, 11)]
+        for index, chunk in enumerate(slices):
+            with gzip.open(source, "ab") as handle:
+                payload = "".join(text + "\n" for text in chunk)
+                handle.write(payload.encode("utf-8"))
+            outcome = cheap_session(source, state).cycle(
+                drain=index == len(slices) - 1
+            )
+            assert outcome.new_entries["day"] == len(chunk)
+        checkpoint = json.loads((state / "checkpoint.json").read_text("utf-8"))
+        assert checkpoint["cursors"][0]["offset"] > 2 * VERIFY_WINDOW
+        reference = cheap_one_shot([text for chunk in slices for text in chunk])
+        assert study_bytes(load_study(state / "study.json")) == study_bytes(
+            reference
+        )
+
+
+class TestSeenJournal:
+    def journal(self, state):
+        return state / JOURNAL_PATTERN.format(0)
+
+    def test_digests_live_in_the_journal(self, tmp_path):
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, STREAM[:20])
+        cheap_session(source, state).cycle()
+        checkpoint = json.loads((state / "checkpoint.json").read_text("utf-8"))
+        assert checkpoint["schema"] == 2
+        assert "seen" not in checkpoint
+        unique = load_study(state / "study.json").datasets["day"].unique
+        assert unique > 0
+        assert checkpoint["journals"] == {"day": 32 * unique}
+        assert self.journal(state).stat().st_size == 32 * unique
+
+    def test_torn_journal_tail_is_truncated_on_resume(
+        self, tmp_path, monkeypatch
+    ):
+        """Killed between the journal append and the checkpoint
+        replace: the journal is longer than its committed length;
+        resume drops the torn tail and converges to one-shot bytes."""
+        texts = STREAM[:30]
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, texts[:10])
+        cheap_session(source, state).cycle()
+        committed = self.journal(state).stat().st_size
+
+        def killed(*args, **kwargs):
+            raise OSError("killed before the checkpoint replace")
+
+        write_lines(source, texts[10:22])
+        monkeypatch.setattr(incremental, "atomic_write_text", killed)
+        with pytest.raises(OSError, match="killed before"):
+            cheap_session(source, state).cycle()
+        monkeypatch.undo()
+        assert self.journal(state).stat().st_size > committed
+
+        resumed = cheap_session(source, state)
+        assert self.journal(state).stat().st_size == committed
+        write_lines(source, texts[22:])
+        resumed.cycle(drain=True)
+        assert study_bytes(load_study(state / "study.json")) == study_bytes(
+            cheap_one_shot(texts)
+        )
+
+    def test_journal_shorter_than_committed_fails_loudly(self, tmp_path):
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, STREAM[:12])
+        cheap_session(source, state).cycle()
+        journal = self.journal(state)
+        journal.write_bytes(journal.read_bytes()[:-32])
+        with pytest.raises(WatchStateError, match="fewer than"):
+            cheap_session(source, state)
+
+    def test_missing_journal_fails_loudly(self, tmp_path):
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, STREAM[:12])
+        cheap_session(source, state).cycle()
+        self.journal(state).unlink()
+        with pytest.raises(WatchStateError, match="journal"):
+            cheap_session(source, state)
+
+    def test_stale_journal_without_checkpoint_is_discarded(self, tmp_path):
+        """A first cycle killed after its journal append leaves a
+        journal but no checkpoint; the next first cycle starts over."""
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        state.mkdir()
+        self.journal(state).write_bytes(b"\x01" * 64)
+        write_lines(source, STREAM[:12])
+        cheap_session(source, state).cycle(drain=True)
+        unique = load_study(state / "study.json").datasets["day"].unique
+        assert self.journal(state).stat().st_size == 32 * unique
+        assert study_bytes(load_study(state / "study.json")) == study_bytes(
+            cheap_one_shot(STREAM[:12])
+        )
+
+
+class TestIdleCycles:
+    def test_idle_cycle_leaves_study_json_untouched(self, tmp_path):
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, STREAM[:10])
+        cheap_session(source, state).cycle()
+        study_path = state / "study.json"
+
+        def fingerprint():
+            # A rewrite is an atomic replace: a new inode, a new mtime.
+            stat = study_path.stat()
+            return study_path.read_bytes(), stat.st_mtime_ns, stat.st_ino
+
+        before = fingerprint()
+        time.sleep(0.02)
+        idle = cheap_session(source, state).cycle()
+        assert (idle.generation, idle.changed, idle.diff) == (2, False, "")
+        assert fingerprint() == before
+        checkpoint = json.loads((state / "checkpoint.json").read_text("utf-8"))
+        assert checkpoint["generation"] == 2
+
+
+class TestSchema1Migration:
+    def legacy_checkpoint(self, source, state):
+        """Rewrite the schema-2 state as the schema-1 layout: full-prefix
+        fingerprints and inline hex digests, no journals."""
+        checkpoint = state / "checkpoint.json"
+        data = json.loads(checkpoint.read_text(encoding="utf-8"))
+        data["schema"] = 1
+        for cursor in data["cursors"]:
+            prefix = Path(cursor["path"]).read_bytes()[: cursor["offset"]]
+            del cursor["head"], cursor["tail"]
+            cursor["fingerprint"] = hashlib.sha256(prefix).hexdigest()
+        journal = state / JOURNAL_PATTERN.format(0)
+        raw = journal.read_bytes()
+        data["seen"] = {
+            "day": sorted(
+                raw[start : start + 32].hex() for start in range(0, len(raw), 32)
+            )
+        }
+        del data["journals"]
+        journal.unlink()
+        checkpoint.write_text(json.dumps(data), encoding="utf-8")
+
+    def test_schema1_checkpoint_migrates_and_resumes(self, tmp_path):
+        texts = padded_lines(120) + STREAM[:20]
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, texts[:100])
+        cheap_session(source, state).cycle()
+        self.legacy_checkpoint(source, state)
+
+        write_lines(source, texts[100:130])
+        cheap_session(source, state).cycle()
+        checkpoint = json.loads((state / "checkpoint.json").read_text("utf-8"))
+        assert checkpoint["schema"] == 2
+        assert "fingerprint" not in checkpoint["cursors"][0]
+        assert (state / JOURNAL_PATTERN.format(0)).exists()
+
+        write_lines(source, texts[130:])
+        cheap_session(source, state).cycle(drain=True)
+        assert study_bytes(load_study(state / "study.json")) == study_bytes(
+            cheap_one_shot(texts)
+        )
+
+    def test_schema1_fingerprint_checks_the_whole_prefix_once(self, tmp_path):
+        """The one migration check still hashes the full prefix, so a
+        mid-prefix edit that the windows would miss is caught."""
+        source, state = tmp_path / "day.rq", tmp_path / "state"
+        write_lines(source, padded_lines(400))
+        cheap_session(source, state).cycle()
+        self.legacy_checkpoint(source, state)
+        data = bytearray(source.read_bytes())
+        middle = len(data) // 2
+        data[middle] = ord("Q") if data[middle] != ord("Q") else ord("R")
+        source.write_bytes(bytes(data))
+        with pytest.raises(WatchStateError, match="rewritten behind"):
+            cheap_session(source, state).cycle()
