@@ -16,6 +16,8 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
+# The reference kernels (tests/reference_*.py) are the ablation baselines.
+sys.path.insert(1, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
 
 import pytest
 

@@ -7,9 +7,14 @@ identical decisions:
 
 * **distance engines** — full O(n²) DP vs banded O(k·n) DP vs the
   Myers bit-parallel algorithm the kernel actually uses;
+* **distance cutoff** — Myers without any cutoff vs the shipped engine
+  (longer text as the pattern, diagonal cutoff) on exactly the
+  window-shaped pairs that survive the prefilters;
 * **prefilters on/off** — the full filter chain
   (:func:`repro.analysis.streaks.stripped_similar`) vs the
   pre-prefilter kernel kept as the correctness oracle;
+
+The baselines are the reference kernels of ``tests/reference_levenshtein.py``.
 * **lean ingestion on/off** — a sequence-only ``streaks`` study with
   and without the full clean → parse → dedup pipeline.
 
@@ -27,13 +32,16 @@ import time
 from pathlib import Path
 
 from _bench_utils import banner
-
+from reference_levenshtein import (
+    levenshtein_banded,
+    levenshtein_full,
+    levenshtein_myers,
+    similar_reference,
+)
 from repro.analysis import levenshtein
 from repro.analysis.streaks import (
     SIMILARITY_COUNTERS,
-    _levenshtein_banded,
-    _levenshtein_full,
-    _similar_reference,
+    _strip_common_affixes,
     strip_prefixes,
     stripped_similar,
 )
@@ -84,7 +92,7 @@ def test_ablation_levenshtein_engines(benchmark):
                 decisions.append(True)
             else:
                 decisions.append(
-                    _levenshtein_banded(short, long, budget) is not None
+                    levenshtein_banded(short, long, budget) is not None
                 )
         return decisions
 
@@ -94,7 +102,7 @@ def test_ablation_levenshtein_engines(benchmark):
     full_decisions = []
     for a, b in pairs:
         budget = int(max(len(a), len(b)) * 0.25)
-        distance = 0 if a == b else _levenshtein_full(a, b)
+        distance = 0 if a == b else levenshtein_full(a, b)
         full_decisions.append(distance <= budget)
     full_elapsed = time.monotonic() - started
 
@@ -130,17 +138,70 @@ def test_ablation_levenshtein_engines(benchmark):
     )
 
 
-def test_ablation_prefilters():
-    """Filter chain on vs off over window-shaped pairs, same decisions."""
-    log = [strip_prefixes(q) for q in generate_day_log(400, seed=4)]
-    pairs = [
+def _window_pairs(log):
+    """Each query against its ``WINDOW`` predecessors, like the scan."""
+    return [
         (log[i], log[j])
         for i in range(len(log))
         for j in range(max(0, i - WINDOW), i)
     ]
 
+
+def test_ablation_levenshtein_cutoff():
+    """Myers without a cutoff vs the shipped engine, same decisions.
+
+    The pairs are the window-shaped pairs the prefilter chain hands to
+    the distance engine (``dp_runs``), trimmed as the kernel trims them.
+    """
+    log = [strip_prefixes(q) for q in generate_day_log(400, seed=4)]
+    dp_pairs = []
+    for a, b in _window_pairs(log):
+        before = SIMILARITY_COUNTERS.dp_runs
+        stripped_similar(a, b)
+        if SIMILARITY_COUNTERS.dp_runs > before:
+            budget = int(max(len(a), len(b)) * 0.25)
+            dp_pairs.append((*_strip_common_affixes(a, b), budget))
+    assert dp_pairs, "no pair reached the distance engine"
+
     started = time.monotonic()
-    reference = [_similar_reference(a, b) for a, b in pairs]
+    uncut = [levenshtein_myers(a, b) <= budget for a, b, budget in dp_pairs]
+    uncut_elapsed = time.monotonic() - started
+
+    started = time.monotonic()
+    shipped = [
+        levenshtein(a, b, max_distance=budget) is not None
+        for a, b, budget in dp_pairs
+    ]
+    shipped_elapsed = time.monotonic() - started
+
+    identical = shipped == uncut
+    banner("Ablation: Levenshtein cutoff (no cutoff vs diagonal cutoff)")
+    print(f"no cutoff: {uncut_elapsed * 1e3:9.1f} ms over {len(dp_pairs)} pairs")
+    print(f"cutoff:    {shipped_elapsed * 1e3:9.1f} ms")
+    print(f"speedup:   {_speedup(uncut_elapsed, shipped_elapsed):9.2f}x")
+    print(f"accepted:  {sum(shipped)} of {len(dp_pairs)}")
+    _record_ablation(
+        {
+            "name": "levenshtein_cutoff",
+            "pairs": len(dp_pairs),
+            "accepted": sum(shipped),
+            "uncut_seconds": round(uncut_elapsed, 6),
+            "cutoff_seconds": round(shipped_elapsed, 6),
+            "speedup": round(_speedup(uncut_elapsed, shipped_elapsed), 2),
+            "identical_decisions": identical,
+        }
+    )
+    # The cutoff must not change any similarity decision.
+    assert identical
+
+
+def test_ablation_prefilters():
+    """Filter chain on vs off over window-shaped pairs, same decisions."""
+    log = [strip_prefixes(q) for q in generate_day_log(400, seed=4)]
+    pairs = _window_pairs(log)
+
+    started = time.monotonic()
+    reference = [similar_reference(a, b) for a, b in pairs]
     off_elapsed = time.monotonic() - started
 
     SIMILARITY_COUNTERS.reset()

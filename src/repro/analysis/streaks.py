@@ -22,15 +22,19 @@ in ``tests/test_streak_prefilters.py``):
    the distance; O(1);
 3. **bag-of-characters prefilter** — the multiset surplus
    ``max(|bag(a)−bag(b)|, |bag(b)−bag(a)|)`` is a lower bound on the
-   distance; O(alphabet) using character-frequency vectors cached on
-   :class:`PreparedText`;
+   distance; the larger surplus is always the longer text's, so one
+   O(alphabet) pass over the character-frequency vectors cached on
+   :class:`PreparedText` computes it;
 4. **common-affix accept** — after trimming the shared prefix and
    suffix (which leaves the distance unchanged), the longer remainder
    length is an *upper* bound on the distance: small enough means
    similar without any DP;
-5. **banded DP** — the O(k·n) band that gives up as soon as the
-   distance provably exceeds the threshold, now running on the trimmed
-   remainders only.
+5. **bit-parallel distance with a diagonal cutoff** — Myers' bit-vector
+   Levenshtein on the trimmed remainders, the longer one as the
+   pattern.  Distances never decrease along a DP diagonal, so the cell
+   on the final cell's diagonal is a lower bound in every column; the
+   engine checks it every few columns and stops as soon as it exceeds
+   the budget.
 
 See ``docs/PERFORMANCE.md`` for the measured effect of each stage and
 :data:`SIMILARITY_COUNTERS` for per-process instrumentation.
@@ -112,133 +116,96 @@ def levenshtein(
 ) -> Optional[int]:
     """Levenshtein distance between *a* and *b*.
 
-    Computed with the Myers/Hyyrö bit-parallel algorithm: each text
-    position costs a handful of arbitrary-precision integer operations
-    on ``len(a)``-bit vectors, i.e. O(len_b · ⌈len_a/64⌉) machine words
-    instead of the O(len²) cell-by-cell DP — the difference that makes
-    day-log streak scans affordable (see the Levenshtein ablation
-    bench, which keeps the older banded DP around as a measured
-    comparison point).
+    Computed with the Myers/Hyyrö bit-parallel algorithm: each
+    character of the shorter text costs a handful of arbitrary-precision
+    integer operations on ``max(len(a), len(b))``-bit vectors, i.e.
+    O(min_len · ⌈max_len/64⌉) machine words instead of the O(len²)
+    cell-by-cell DP.
 
     When *max_distance* is given, returns ``None`` if the distance
-    exceeds the bound (after an O(1) length-difference rejection).
+    exceeds the bound.  A length difference over the bound is rejected
+    in O(1); otherwise the engine stops as soon as a cell on the final
+    cell's diagonal exceeds the bound, because distances never decrease
+    along a diagonal.  A negative *max_distance* raises ``ValueError``.
     """
+    if max_distance is not None and max_distance < 0:
+        raise ValueError(f"max_distance must be >= 0, got {max_distance}")
     if a == b:
         return 0
-    if len(a) > len(b):
+    if len(a) < len(b):
         a, b = b, a
-    len_a, len_b = len(a), len(b)
-    if max_distance is not None and len_b - len_a > max_distance:
+    if max_distance is None:
+        max_distance = len(a)  # the distance never exceeds the longer length
+    elif len(a) - len(b) > max_distance:
         return None
-    distance = len_b if len_a == 0 else _levenshtein_bitparallel(a, b)
-    if max_distance is not None and distance > max_distance:
-        return None
-    return distance
+    return _levenshtein_myers(a, b, max_distance)
 
 
-def _levenshtein_bitparallel(a: str, b: str) -> int:
-    """Exact Levenshtein distance via Myers' bit-vector algorithm.
+#: Columns between two diagonal-cutoff checks in :func:`_levenshtein_myers`.
+_CUTOFF_STRIDE = 16
 
-    Requires *a* non-empty (callers handle the empty case).  The
-    pattern *a* is encoded as per-character match masks; each character
-    of *b* then updates the vertical positive/negative delta vectors
-    with six bit operations on ``len(a)``-bit integers.  Python's
-    arbitrary-precision ints hold the whole vector, so no 64-bit block
-    chaining is needed.  Verified equal to the full DP in the property
-    suite and the Levenshtein ablation bench.
+
+def _levenshtein_myers(
+    pattern: str, text: str, max_distance: int
+) -> Optional[int]:
+    """Myers' bit-vector Levenshtein with a diagonal cutoff.
+
+    Requires ``len(pattern) >= len(text)`` and *pattern* non-empty.  The
+    pattern is encoded as per-character match masks; each character of
+    *text* then updates the vertical positive/negative delta vectors of
+    one DP column with a few bit operations on ``len(pattern)``-bit
+    integers (Python ints hold the whole vector, so no 64-bit block
+    chaining is needed).  Of the two delta vectors only the positive
+    one can pick up bits above the pattern, so it alone is masked.
+
+    The cutoff: D[i+1][j+1] >= D[i][j] (Ukkonen), so with m =
+    len(pattern) >= n = len(text) the final cell D[m][n] is at least
+    D[j+m-n][j] in every column j.  That cell is read off the delta
+    vectors as ``score - popcount(Pv >> row) + popcount(Mv >> row)``
+    every :data:`_CUTOFF_STRIDE` columns; once it exceeds
+    *max_distance*, so does the distance, and the engine returns
+    ``None``.  Equal to the full DP (``tests/test_streak_prefilters.py``).
     """
-    length = len(a)
+    length = len(pattern)
     mask = (1 << length) - 1
     last = 1 << (length - 1)
     match_masks: Dict[str, int] = {}
     bit = 1
-    for char in a:
+    for char in pattern:
         match_masks[char] = match_masks.get(char, 0) | bit
         bit <<= 1
+    get = match_masks.get
     positive = mask  # vertical delta +1 positions
     negative = 0  # vertical delta -1 positions
-    score = length
-    get = match_masks.get
-    for char in b:
-        matches = get(char, 0)
-        diagonal = matches | negative
-        horizontal_x = (((matches & positive) + positive) ^ positive) | matches
-        h_positive = negative | (~(horizontal_x | positive) & mask)
-        h_negative = positive & horizontal_x
-        if h_positive & last:
-            score += 1
-        elif h_negative & last:
-            score -= 1
-        h_positive = ((h_positive << 1) | 1) & mask
-        h_negative = (h_negative << 1) & mask
-        positive = h_negative | (~(diagonal | h_positive) & mask)
-        negative = h_positive & diagonal
-    return score
-
-
-def _levenshtein_full(a: str, b: str) -> int:
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            current.append(
-                min(
-                    previous[j] + 1,       # deletion
-                    current[j - 1] + 1,    # insertion
-                    previous[j - 1] + cost,  # substitution
-                )
-            )
-        previous = current
-    return previous[-1]
-
-
-def _levenshtein_banded(a: str, b: str, k: int) -> Optional[int]:
-    """Banded Levenshtein; assumes len(a) ≤ len(b) and len(b)-len(a) ≤ k.
-
-    The band is stored in offset-indexed lists (index d represents
-    column j = i + d - k of row i), which is several times faster than
-    dict-keyed rows — the difference that makes day-log streak scans
-    affordable (see the Levenshtein ablation bench).
-    """
-    len_a, len_b = len(a), len(b)
-    if k == 0:
-        return 0 if a == b else None
-    infinity = k + 1
-    width = 2 * k + 1
-    previous = [infinity] * width
-    for j in range(0, min(len_b, k) + 1):
-        previous[j + k] = j
-    for i in range(1, len_a + 1):
-        current = [infinity] * width
-        window_low = max(0, i - k)
-        window_high = min(len_b, i + k)
-        best_in_row = infinity
-        char_a = a[i - 1]
-        for j in range(window_low, window_high + 1):
-            d = j - i + k
-            if j == 0:
-                value = i
-            else:
-                diagonal = previous[d]
-                if char_a == b[j - 1]:
-                    value = diagonal
-                else:
-                    up = previous[d + 1] if d + 1 < width else infinity
-                    left = current[d - 1] if d >= 1 else infinity
-                    value = (
-                        diagonal if diagonal <= up and diagonal <= left
-                        else (up if up <= left else left)
-                    ) + 1
-            current[d] = value
-            if value < best_in_row:
-                best_in_row = value
-        if best_in_row > k:
+    score = length  # D[m][j] of the current column j
+    offset = length - len(text)  # the final cell's diagonal: row j + offset
+    for start in range(0, len(text), _CUTOFF_STRIDE):
+        for char in text[start:start + _CUTOFF_STRIDE]:
+            matches = get(char, 0)
+            diagonal = matches | negative
+            horizontal_x = (((matches & positive) + positive) ^ positive) | matches
+            # ``x ^ mask`` complements the pattern bits and keeps ints
+            # non-negative; stray bits above the pattern never reach a
+            # result bit except through ``positive``, which is masked.
+            h_positive = negative | ((horizontal_x | positive) ^ mask)
+            h_negative = positive & horizontal_x
+            if h_positive & last:
+                score += 1
+            elif h_negative & last:
+                score -= 1
+            h_positive = (h_positive << 1) | 1
+            h_negative <<= 1
+            positive = (h_negative | ((diagonal | h_positive) ^ mask)) & mask
+            negative = h_positive & diagonal
+        # Past the last column the shift empties both vectors, leaving
+        # the final score itself.
+        row = start + _CUTOFF_STRIDE + offset
+        if (
+            score - (positive >> row).bit_count() + (negative >> row).bit_count()
+            > max_distance
+        ):
             return None
-        previous = current
-    d_end = len_b - len_a + k
-    distance = previous[d_end] if 0 <= d_end < width else infinity
-    return distance if distance <= k else None
+    return score if score <= max_distance else None
 
 
 @dataclass
@@ -249,7 +216,7 @@ class SimilarityCounters:
     module-level :data:`SIMILARITY_COUNTERS` instance is what the
     kernel increments.  Counters never influence results — they exist
     so benchmarks (and ``BENCH_passes.json``) can report how much work
-    each prefilter stage absorbed before the banded DP ran.
+    each prefilter stage absorbed before the distance engine ran.
     """
 
     comparisons: int = 0  #: similarity decisions requested
@@ -257,7 +224,7 @@ class SimilarityCounters:
     length_rejects: int = 0  #: settled by the length-difference bound
     bag_rejects: int = 0  #: settled by the bag-of-chars bound
     trim_accepts: int = 0  #: settled by the common-affix upper bound
-    dp_runs: int = 0  #: pairs that actually reached the banded DP
+    dp_runs: int = 0  #: pairs that actually reached the distance engine
     memo_hits: int = 0  #: decisions reused from a per-push memo
     boundary_hits: int = 0  #: decisions reused from a worker boundary table
 
@@ -347,20 +314,25 @@ def bag_distance_bound(freq_a: Counter, freq_b: Counter) -> int:
     ``max`` of the two multiset surpluses: every character *a* has in
     excess of *b* must be deleted or substituted away, and vice versa,
     while one edit operation fixes at most one unit of either surplus.
-    Property-tested against the exact distance in
+    The surpluses differ by exactly ``len(a) - len(b)``, so the larger
+    is the longer text's and one pass over its vector computes the
+    bound.  Property-tested against the exact distance in
     ``tests/test_streak_prefilters.py``.
     """
-    excess_a = 0
-    excess_b = 0
-    for char, count in freq_a.items():
-        difference = count - freq_b.get(char, 0)
+    if sum(freq_a.values()) < sum(freq_b.values()):
+        freq_a, freq_b = freq_b, freq_a
+    return _surplus(freq_a, freq_b)
+
+
+def _surplus(freq_longer: Counter, freq_shorter: Counter) -> int:
+    """Characters *freq_longer* holds in excess of *freq_shorter*."""
+    get = freq_shorter.get
+    excess = 0
+    for char, count in freq_longer.items():
+        difference = count - get(char, 0)
         if difference > 0:
-            excess_a += difference
-    for char, count in freq_b.items():
-        difference = count - freq_a.get(char, 0)
-        if difference > 0:
-            excess_b += difference
-    return excess_a if excess_a > excess_b else excess_b
+            excess += difference
+    return excess
 
 
 def _strip_common_affixes(a: str, b: str) -> Tuple[str, str]:
@@ -368,18 +340,28 @@ def _strip_common_affixes(a: str, b: str) -> Tuple[str, str]:
 
     An optimal alignment never edits inside a common prefix or suffix,
     so ``levenshtein(a, b) == levenshtein(*_strip_common_affixes(a, b))``
-    while the DP band shrinks to the differing core (measured ~5× fewer
-    cells on real day logs).
+    while the distance engine shrinks to the differing core (measured
+    ~5× fewer cells on real day logs).  Both affixes are found by binary
+    search over slice equality, which compares in C; each probe only
+    compares the span past the part already known to match.
     """
-    limit = min(len(a), len(b))
-    prefix = 0
-    while prefix < limit and a[prefix] == b[prefix]:
-        prefix += 1
-    suffix = 0
-    limit -= prefix
-    while suffix < limit and a[len(a) - 1 - suffix] == b[len(b) - 1 - suffix]:
-        suffix += 1
-    return a[prefix:len(a) - suffix], b[prefix:len(b) - suffix]
+    len_a, len_b = len(a), len(b)
+    low, high = 0, min(len_a, len_b)  # a[:low] == b[:low]; prefix <= high
+    while low < high:
+        middle = (low + high + 1) // 2
+        if a[low:middle] == b[low:middle]:
+            low = middle
+        else:
+            high = middle - 1
+    prefix = low
+    low, high = 0, min(len_a, len_b) - prefix  # the suffix, mirrored
+    while low < high:
+        middle = (low + high + 1) // 2
+        if a[len_a - middle:len_a - low] == b[len_b - middle:len_b - low]:
+            low = middle
+        else:
+            high = middle - 1
+    return a[prefix:len_a - low], b[prefix:len_b - low]
 
 
 def prepared_similar(
@@ -398,23 +380,24 @@ def prepared_similar(
     if a.text == b.text:
         counters.equal_accepts += 1
         return True  # exact repeats are common in real logs
-    longest = a.length if a.length > b.length else b.length
-    budget = int(longest * threshold)
-    difference = a.length - b.length
-    if (difference if difference > 0 else -difference) > budget:
+    longer, shorter = (a, b) if a.length >= b.length else (b, a)
+    budget = int(longer.length * threshold)
+    if longer.length - shorter.length > budget:
         counters.length_rejects += 1
         return False
-    if bag_distance_bound(a.freq, b.freq) > budget:
+    if _surplus(longer.freq, shorter.freq) > budget:
         counters.bag_rejects += 1
         return False
-    trimmed_a, trimmed_b = _strip_common_affixes(a.text, b.text)
-    if max(len(trimmed_a), len(trimmed_b)) <= budget:
+    # Both sides lose the same affixes, so the longer text keeps the
+    # longer remainder.
+    pattern, text = _strip_common_affixes(longer.text, shorter.text)
+    if len(pattern) <= budget:
         # Distance ≤ max remainder length (delete one side, insert the
         # other — an upper bound), already within budget: similar.
         counters.trim_accepts += 1
         return True
     counters.dp_runs += 1
-    return levenshtein(trimmed_a, trimmed_b, max_distance=budget) is not None
+    return _levenshtein_myers(pattern, text, budget) is not None
 
 
 def stripped_similar(
@@ -431,29 +414,6 @@ def stripped_similar(
     return prepared_similar(
         PreparedText(stripped_a), PreparedText(stripped_b), threshold
     )
-
-
-def _similar_reference(
-    stripped_a: str, stripped_b: str, threshold: float = DEFAULT_STREAK_THRESHOLD
-) -> bool:
-    """The pre-prefilter kernel, kept verbatim as the correctness oracle.
-
-    ``tests/test_streak_prefilters.py`` property-tests
-    :func:`stripped_similar` against this on arbitrary pairs — the
-    filter chain must never flip a decision.
-    """
-    if stripped_a == stripped_b:
-        return True
-    longest = max(len(stripped_a), len(stripped_b))
-    if longest == 0:
-        return True
-    budget = int(longest * threshold)
-    a, b = stripped_a, stripped_b
-    if len(a) > len(b):
-        a, b = b, a
-    if len(b) - len(a) > budget:
-        return False
-    return _levenshtein_banded(a, b, budget) is not None
 
 
 def queries_similar(
