@@ -106,8 +106,8 @@ from ..logs.sources import (
     source_paths,
 )
 from .context import AnalysisOptions
-from .parallel import build_query_logs_parallel
-from .passes import resolve_passes, run_passes, sequence_only_selection
+from .parallel import build_query_logs_parallel, measure_chunk
+from .passes import resolve_passes, sequence_only_selection
 from .snapshot import save_study, study_from_dict, study_to_dict
 from .structure_store import StoreBackedStructureCache, open_structure_cache
 from .study import CorpusStudy, DatasetStats, _claim_streaks
@@ -753,43 +753,33 @@ class WatchSession:
         Table 1 counters are the slice's own (they add across cycles);
         the measured stream is the slice's *first-ever* occurrences —
         concatenated over cycles that is the one-shot unique stream, in
-        order, which is what makes checkpoint ≡ one-shot exact.
-        Mirrors the serial body of
-        :func:`repro.analysis.study.study_corpus`.
+        order, which is what makes checkpoint ≡ one-shot exact.  The
+        measuring itself is :func:`~repro.analysis.parallel.measure_chunk`,
+        the study driver's chunk body.
         """
-        passes = resolve_passes(self.options.metrics)
-        cache = open_structure_cache(self.options)
+        seen = self._seen.setdefault(name, set())
+        unjournaled = self._unjournaled.setdefault(name, [])
+        fresh: List[ParsedQuery] = []
+        for parsed in log.unique_queries():
+            digest = _text_digest(parsed.text)
+            if digest in seen:
+                continue
+            seen.add(digest)
+            unjournaled.append(digest)
+            fresh.append(parsed)
         study = CorpusStudy(dedup=True)
+        study.datasets[name] = DatasetStats(
+            name=name,
+            total=log.total,
+            valid=log.valid,
+            unique=len(fresh),
+            streaks=_claim_streaks(name, log),
+        )
+        cache = open_structure_cache(self.options)
         try:
-            seen = self._seen.setdefault(name, set())
-            unjournaled = self._unjournaled.setdefault(name, [])
-            fresh: List[ParsedQuery] = []
-            for parsed in log.unique_queries():
-                digest = _text_digest(parsed.text)
-                if digest in seen:
-                    continue
-                seen.add(digest)
-                unjournaled.append(digest)
-                fresh.append(parsed)
-            stats = DatasetStats(
-                name=name,
-                total=log.total,
-                valid=log.valid,
-                unique=len(fresh),
-                streaks=_claim_streaks(name, log),
+            return study.merge(
+                measure_chunk(name, fresh, options=self.options, cache=cache)
             )
-            study.datasets[name] = stats
-            for parsed in fresh:
-                run_passes(
-                    study,
-                    stats,
-                    parsed,
-                    1,
-                    passes=passes,
-                    options=self.options,
-                    cache=cache,
-                )
         finally:
             if isinstance(cache, StoreBackedStructureCache):
                 cache.close()
-        return study

@@ -1,4 +1,4 @@
-"""Sharded, streaming, multiprocessing-capable pipeline and study drivers.
+"""The one execution path: sharded, streaming pipeline and study drivers.
 
 The paper's headline corpus is ~180M queries; a strictly serial
 clean → parse → measure pass bounds corpus size by one core — and a
@@ -11,12 +11,14 @@ combined in stream order through the mergeable accumulators
 :class:`~repro.analysis.study.DatasetStats`,
 :class:`~repro.analysis.study.CorpusStudy`):
 
-* :func:`build_query_log_parallel` — clean → parse → dedup over chunks
-  of raw entries.  Deduplication is two-phase: each shard builds its
+* :func:`build_query_logs_parallel` — clean → parse → dedup over
+  chunks of raw entries (:func:`~repro.logs.pipeline.build_query_log`
+  forwards here).  Deduplication is two-phase: each shard builds its
   own text → count map and the maps are merged in stream order before
   the unique stream is materialized.
-* :func:`study_corpus_parallel` — the full corpus study over chunks of
-  the (already deduplicated) per-dataset query streams.
+* :func:`~repro.analysis.study.study_corpus` — the full corpus study
+  over chunks of the (already deduplicated) per-dataset query streams
+  (its body is :func:`_study_corpus`).
 
 Both accept plain iterators — e.g. the lazy file sources of
 :mod:`repro.logs.sources` — and never pull more than
@@ -25,18 +27,27 @@ peak ingestion memory is O(workers × chunk_size), not O(log size).
 (The deduplicated unique set is accumulated by design — it *is* the
 result — so total memory is chunk window + unique state.)
 
-The parallel runtime itself is built from four reusable pieces:
+Serial is not a second code path: it is ``workers=1`` of the same
+drivers.  This module is the only place that decides how a chunk runs
+(:func:`_run_chunks`), and there are exactly two choices:
 
-* :class:`WorkerPool` — a persistent process pool created once (per
-  :class:`~repro.api.AnalysisSession`) and reused across datasets,
-  corpora and runs, so repeated runs don't pay a fork storm.  Workers
-  keep *keyed* caches (parse caches per prefix environment, structure
-  caches per option set) that stay warm across runs on the same pool.
+* **in-process**, with run-local parse and structure caches — at
+  ``workers=1``, or when the input turns out to hold at most one
+  chunk.  Nothing is pickled, no process starts, and no state outlives
+  the call;
+* **on a** :class:`WorkerPool`, running :func:`_pool_parse_chunk` and
+  :func:`_pool_measure_chunk` — the caller's persistent pool (one per
+  :class:`~repro.api.AnalysisSession`, reused across datasets, corpora
+  and runs, its workers keeping *keyed* caches warm), or one the
+  driver opens for the call and closes before returning.
+
+Around that choice:
+
 * adaptive chunk sizing (:func:`adaptive_chunk_sizes`) — chunks start
   small and grow geometrically toward ~``_TARGET_CHUNKS_PER_WORKER``
   chunks per worker, so tiny corpora stay near serial cost and huge
-  corpora amortize IPC.  ``workers=1`` collapses to one chunk (the
-  serial scan); explicit ``chunk_size`` still pins a fixed size.
+  corpora amortize IPC.  ``workers=1`` makes a sized input one chunk;
+  explicit ``chunk_size`` still pins a fixed size.
 * compact shard transport — pool workers serialize their results
   themselves and return ``bytes``: pre-reduced payloads (counter
   deltas, streak boundary state, fully reduced partial studies — never
@@ -48,11 +59,9 @@ The parallel runtime itself is built from four reusable pieces:
   Every accumulator merge here is associative, so the merge tree's
   shape can never change a byte (property-tested).
 
-Chunks are always merged in stream order, so both drivers are
-guaranteed to reproduce the serial result exactly — including counter
-key order, which breaks ties in table rendering.  ``workers=1`` (or a
-single chunk) never touches :mod:`multiprocessing`: it runs the same
-chunked code path serially, lazily, and deterministically in-process.
+Chunks are always merged in stream order, so every worker count
+reproduces the ``workers=1`` result exactly — including counter key
+order, which breaks ties in table rendering.
 """
 
 from __future__ import annotations
@@ -60,11 +69,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import threading
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import chain, islice, repeat
 from time import perf_counter
 from typing import (
@@ -80,7 +87,14 @@ from typing import (
     Union,
 )
 
-from ..logs.pipeline import LogShard, ParseCache, ParsedQuery, QueryLog, process_entries
+from ..logs.pipeline import (
+    LogShard,
+    ParseCache,
+    ParsedQuery,
+    QueryLog,
+    build_query_log,
+    process_entries,
+)
 from .context import DEFAULT_OPTIONS, AnalysisOptions, StructureCache
 from .passes import (
     PassProfile,
@@ -95,7 +109,7 @@ from .structure_store import (
     open_structure_cache,
     pending_rows,
 )
-from .study import CorpusStudy, DatasetStats, _claim_streaks
+from .study import CorpusStudy, DatasetStats, _claim_streaks, study_corpus
 
 __all__ = [
     "DEFAULT_STREAM_CHUNK_SIZE",
@@ -115,6 +129,12 @@ __all__ = [
     "study_corpus_parallel",
     "tree_merge",
 ]
+
+#: Aliases kept so existing imports keep working: the single-dataset
+#: ingestion and the corpus study have one driver each, whatever the
+#: worker count.
+build_query_log_parallel = build_query_log
+study_corpus_parallel = study_corpus
 
 _Payload = TypeVar("_Payload")
 _Result = TypeVar("_Result")
@@ -181,11 +201,11 @@ def adaptive_chunk_sizes(
     (an unsized stream) caps growth at ``DEFAULT_STREAM_CHUNK_SIZE``
     instead, keeping the memory bound that streaming mode promises.
 
-    ``workers == 1`` yields the whole (sized) input as one chunk: the
-    driver's collapse path then runs it serially with zero chunking or
-    merge overhead.  The schedule depends only on ``(total, workers)``,
-    never on timing, so chunk boundaries — and therefore merge trees —
-    are deterministic.
+    ``workers == 1`` yields the whole (sized) input as one chunk, which
+    the driver runs in-process with zero chunking or merge overhead.
+    The schedule depends only on ``(total, workers)``, never on timing,
+    so chunk boundaries — and therefore merge trees — are
+    deterministic.
     """
     if workers == 1 and total is not None:
         size = max(1, total)
@@ -245,7 +265,7 @@ def iter_scheduled_chunks(
 
 
 # ---------------------------------------------------------------------------
-# Transport accounting and the persistent worker pool
+# Transport accounting and the worker pool
 # ---------------------------------------------------------------------------
 
 
@@ -257,8 +277,8 @@ class TransportStats:
     :class:`~repro.api.AnalysisSession` does, folding the totals into
     the run's :class:`~repro.analysis.passes.PassProfile`).  A chunk
     counts as *shipped* when its result crossed the pool boundary as a
-    serialized payload; in-process paths (``workers=1``, single-chunk
-    collapse without a pool) ship nothing.
+    serialized payload; chunks run in-process (``workers=1``, or an
+    input of at most one chunk) ship nothing.
     """
 
     #: Chunk results that came back as serialized payloads.
@@ -276,17 +296,17 @@ class TransportStats:
 
 
 class WorkerPool:
-    """A persistent worker pool, reused across datasets, corpora and runs.
+    """The only multi-process executor: a lazily started worker pool.
 
-    The per-call drivers spin a pool up and tear it down per invocation
-    — correct, but a session analyzing many corpora pays the process
-    start-up cost every time.  A ``WorkerPool`` owns one
+    A ``WorkerPool`` owns one
     :class:`~concurrent.futures.ProcessPoolExecutor` (fork context
-    where available), created lazily on first submit and kept until
-    :meth:`close`.
+    where available), created on first submit and kept until
+    :meth:`close`.  A session holds one and reuses it across datasets,
+    corpora and runs, so repeated runs don't pay the process start-up
+    cost; a driver called without one opens a pool for the call and
+    closes it before returning.
 
-    Workers of a persistent pool keep *keyed* state instead of
-    initializer-built globals, because one pool serves runs with
+    Workers keep *keyed* state, because one pool serves runs with
     different configurations: parse caches are keyed by prefix
     environment (a :class:`~repro.logs.pipeline.ParseCache` is pinned
     to one), structure caches by the option fields they depend on.
@@ -304,8 +324,10 @@ class WorkerPool:
     def executor(self) -> ProcessPoolExecutor:
         """The underlying executor, created on first use."""
         if self._executor is None:
-            context = _fork_context()
-            kwargs = {} if context is None else {"mp_context": context}
+            try:
+                kwargs = {"mp_context": multiprocessing.get_context("fork")}
+            except ValueError:  # pragma: no cover - platform without fork
+                kwargs = {}
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers, **kwargs
             )
@@ -330,34 +352,21 @@ class WorkerPool:
 
 
 # ---------------------------------------------------------------------------
-# Worker entry points (top-level so they pickle under spawn and fork)
+# Chunk bodies, and the pool entry points (top-level so they pickle)
 # ---------------------------------------------------------------------------
 
 
-#: Per-worker parse cache, created by the pool initializer so it lives
-#: for the whole pool: duplicates recurring across a worker's chunks are
-#: parsed once.  In the parent it is only ever set by the collapsed
-#: (<= 1 payload) serial fallback, which re-runs the initializer first —
-#: each run gets a fresh cache, so prefix environments can't leak
-#: between runs.  (Per-call pools only; persistent-pool workers use the
-#: keyed caches below.)
-_WORKER_PARSE_CACHE: Optional[ParseCache] = None
-
-
-def _init_parse_worker() -> None:
-    global _WORKER_PARSE_CACHE
-    _WORKER_PARSE_CACHE = ParseCache()
-
-
-#: Keyed per-worker caches for persistent pools.  A ParseCache is
+#: Keyed per-worker parse caches of pool workers.  A ParseCache is
 #: pinned to one prefix environment (it raises on a mismatch), so a
 #: pool worker serving many runs keeps one cache per environment.
+#: Only pool workers fill this: in-process chunks use run-local caches.
 _POOL_PARSE_CACHES: Dict[object, ParseCache] = {}
 
-#: Keyed per-worker structure caches for persistent pools, one per
+#: Keyed per-worker structure caches of pool workers, one per
 #: (cache_size, structure_cache_path) — the option fields the cache is
-#: built from.  Warm entries surviving across runs is exactly the
-#: cache-transparency invariant: results never change, only timings.
+#: built from — attached read-only to the persistent store, whose only
+#: writer is the parent.  Warm entries surviving across runs is exactly
+#: the cache-transparency invariant: results never change, only timings.
 _POOL_STRUCTURE_CACHES: Dict[Tuple[int, Optional[str]], StructureCache] = {}
 
 
@@ -431,14 +440,17 @@ def _ingest_chunk(
     return process_entries(texts, extra_prefixes=extra_prefixes, cache=cache)
 
 
-def _ingest_scored(
-    name: str,
-    texts: List[str],
-    extra_prefixes: Optional[Dict[str, str]],
-    options: Optional[AnalysisOptions],
-    lookahead: Optional[List[str]],
-    cache: Optional[ParseCache],
-) -> Tuple[str, LogShard, Optional[Dict[str, int]]]:
+_ParsePayload = Tuple[
+    str,
+    List[str],
+    Optional[Dict[str, str]],
+    Optional[AnalysisOptions],
+    Optional[List[str]],
+]
+_ParseResult = Tuple[str, LogShard, Optional[Dict[str, int]]]
+
+
+def _ingest_scored(payload: _ParsePayload, cache: ParseCache) -> _ParseResult:
     """Ingest one chunk, capturing the similarity-counter delta it caused.
 
     :data:`~repro.analysis.streaks.SIMILARITY_COUNTERS` is per-process
@@ -446,11 +458,11 @@ def _ingest_scored(
     would silently vanish from the parent's numbers (under-reporting
     ``dp_skip_rate`` in profiled sharded runs).  The capture is
     transactional — snapshot, scan, delta, restore — so a chunk counts
-    exactly once whether it ran on a worker or (the collapsed or
-    ``workers=1`` fallbacks) in the parent process itself, where the
+    exactly once whether it ran on a worker or in-process, where the
     parent later :meth:`adds <repro.analysis.streaks
-    .SimilarityCounters.add>` the shipped delta unconditionally.
+    .SimilarityCounters.add>` the delta unconditionally.
     """
+    name, texts, extra_prefixes, options, lookahead = payload
     if options is None:
         return name, _ingest_chunk(texts, extra_prefixes, None, cache), None
     before = SIMILARITY_COUNTERS.to_dict()
@@ -461,73 +473,31 @@ def _ingest_scored(
     return name, shard, delta
 
 
-def _parse_chunk(
-    payload: Tuple[
-        str,
-        List[str],
-        Optional[Dict[str, str]],
-        Optional[AnalysisOptions],
-        Optional[List[str]],
-    ],
-) -> Tuple[str, LogShard, Optional[Dict[str, int]]]:
-    name, texts, extra_prefixes, options, lookahead = payload
-    return _ingest_scored(
-        name, texts, extra_prefixes, options, lookahead, _WORKER_PARSE_CACHE
-    )
-
-
-def _pool_parse_chunk(
-    payload: Tuple[
-        str,
-        List[str],
-        Optional[Dict[str, str]],
-        Optional[AnalysisOptions],
-        Optional[List[str]],
-    ],
-) -> bytes:
-    """Persistent-pool ingestion worker: keyed cache, pre-pickled result.
+def _pool_parse_chunk(payload: _ParsePayload) -> bytes:
+    """Pool ingestion worker: keyed cache, pre-pickled result.
 
     Returning ``bytes`` makes the transport explicit: the parent counts
     exactly ``len(result)`` shipped bytes per chunk, and the executor's
     own result pickling degenerates to a cheap bytes copy.
     """
-    name, texts, extra_prefixes, options, lookahead = payload
-    cache = _pool_parse_cache(extra_prefixes)
-    result = _ingest_scored(name, texts, extra_prefixes, options, lookahead, cache)
+    extra_prefixes = payload[2]
+    result = _ingest_scored(payload, _pool_parse_cache(extra_prefixes))
     return pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
 
 
-#: Per-worker structural-signature cache, created by the pool
-#: initializer so it lives for the whole pool: recurring query shapes
-#: across a worker's chunks reuse their shape/treewidth/hypertree
-#: results.  Bounded LRU, so per-worker memory stays O(cache_size) and
-#: the O(workers × chunk) ingestion invariant holds.  Stays ``None`` in
-#: the parent (the serial paths build run-local caches instead).
-_WORKER_STRUCTURE_CACHE: Optional[StructureCache] = None
+_MeasurePayload = Tuple[str, List[ParsedQuery], bool, AnalysisOptions]
+_MeasureResult = Tuple[CorpusStudy, List[Tuple[str, str, str]]]
 
 
-def _init_measure_worker(options: AnalysisOptions) -> None:
-    # Workers attach to the persistent structure store (if configured)
-    # read-only: the parent is the only writer, flushing the pending
-    # rows the workers ship back alongside their partial studies.
-    global _WORKER_STRUCTURE_CACHE
-    _WORKER_STRUCTURE_CACHE = open_structure_cache(options, readonly=True)
-
-
-def _measure_chunk(
-    payload: Tuple[str, List[ParsedQuery], bool, AnalysisOptions],
-) -> Tuple[CorpusStudy, List[Tuple[str, str, str]]]:
+def _measure_payload(payload: _MeasurePayload, cache: StructureCache) -> _MeasureResult:
+    """Measure one chunk; return the partial study and its new store rows."""
     dataset, queries, dedup, options = payload
-    study = measure_chunk(
-        dataset, queries, dedup=dedup, options=options, cache=_WORKER_STRUCTURE_CACHE
-    )
-    return study, pending_rows(_WORKER_STRUCTURE_CACHE)
+    study = measure_chunk(dataset, queries, dedup=dedup, options=options, cache=cache)
+    return study, pending_rows(cache)
 
 
-def _pool_measure_chunk(
-    payload: Tuple[str, List[ParsedQuery], bool, AnalysisOptions],
-) -> bytes:
-    """Persistent-pool measure worker: compact, pre-reduced transport.
+def _pool_measure_chunk(payload: _MeasurePayload) -> bytes:
+    """Pool measure worker: compact, pre-reduced transport.
 
     What comes back is the fully reduced partial study — plain counters
     and histograms, a couple of KB regardless of chunk size — never the
@@ -535,42 +505,9 @@ def _pool_measure_chunk(
     it here makes the shipped size explicit: the parent counts exactly
     ``len(result)`` bytes per chunk.
     """
-    dataset, queries, dedup, options = payload
-    cache = _pool_structure_cache(options)
-    study = measure_chunk(
-        dataset, queries, dedup=dedup, options=options, cache=cache
-    )
-    return pickle.dumps((study, pending_rows(cache)), pickle.HIGHEST_PROTOCOL)
-
-
-#: Logs shared with fork-started measure workers through inherited
-#: memory: the measure phase always runs over *materialized*
-#: :class:`QueryLog` objects, so index slices — not chunks of recursive
-#: AST object graphs — are what crosses the process boundary.  Set (and
-#: held, under the lock) for the whole drain of one
-#: :func:`study_corpus_parallel` run, because pool workers fork lazily
-#: on first submit; cleared right after.  The lock serializes
-#: concurrent runs in one process so a second thread can't swap the
-#: global between another run's fork and its submits.  (Per-call pools
-#: only: a persistent pool forked long before this run's logs existed,
-#: so its workers receive query chunks instead.)
-_SHARED_LOGS: Optional[Mapping[str, QueryLog]] = None
-_SHARED_LOGS_LOCK = threading.Lock()
-
-
-def _measure_slice(
-    payload: Tuple[str, int, int, bool, AnalysisOptions],
-) -> Tuple[CorpusStudy, List[Tuple[str, str, str]]]:
-    name, start, stop, dedup, options = payload
-    assert _SHARED_LOGS is not None
-    study = measure_chunk(
-        name,
-        _SHARED_LOGS[name].parsed[start:stop],
-        dedup=dedup,
-        options=options,
-        cache=_WORKER_STRUCTURE_CACHE,
-    )
-    return study, pending_rows(_WORKER_STRUCTURE_CACHE)
+    options = payload[3]
+    result = _measure_payload(payload, _pool_structure_cache(options))
+    return pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
 
 
 def measure_chunk(
@@ -582,10 +519,12 @@ def measure_chunk(
 ) -> CorpusStudy:
     """Measure one chunk of a dataset's unique stream into a partial study.
 
-    *cache* may be shared across chunks (it is transparent — results
-    never depend on it); with ``options.profile`` the chunk's own
-    timings and the cache hit/miss delta it caused land on the partial
-    study's ``pass_profile``, merged in stream order like every other
+    The one per-query measure loop: the study driver runs it for every
+    chunk, and watch cycles for every new slice.  *cache* may be shared
+    across chunks (it is transparent — results never depend on it);
+    with ``options.profile`` the chunk's own timings and the cache
+    hit/miss delta it caused land on the partial study's
+    ``pass_profile``, merged in stream order like every other
     accumulator.
     """
     passes = resolve_passes(options.metrics)
@@ -616,11 +555,25 @@ def measure_chunk(
     return study
 
 
-def _fork_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform without fork
-        return None
+# ---------------------------------------------------------------------------
+# Where a chunk runs
+# ---------------------------------------------------------------------------
+
+
+def _fan_out(
+    payloads: Iterable[_Payload], workers: int
+) -> Tuple[Iterator[_Payload], bool]:
+    """``(payloads, pooled)``: whether the stream needs a pool at all.
+
+    A pool only pays with several workers *and* at least two payloads,
+    so a multi-worker stream is peeked two payloads deep; ``workers=1``
+    is never peeked, keeping its consumption fully lazy.
+    """
+    iterator = iter(payloads)
+    if workers == 1:
+        return iterator, False
+    head = list(islice(iterator, 2))
+    return chain(head, iterator), len(head) > 1
 
 
 def imap_bounded(
@@ -628,7 +581,6 @@ def imap_bounded(
     payloads: Iterable[_Payload],
     workers: int,
     *,
-    initializer: Optional[Callable[[], None]] = None,
     max_inflight: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
 ) -> Iterator[_Result]:
@@ -642,13 +594,12 @@ def imap_bounded(
     which is what makes merge-in-stream-order reproducible.
 
     ``workers=1`` — or a stream that turns out to hold at most one
-    payload — is the deterministic serial fallback: same code path,
-    same order, fully lazy, no :mod:`multiprocessing` and no pickling.
-
-    *pool* submits to a persistent :class:`WorkerPool` instead of
-    spinning up (and tearing down) a per-call executor; *worker_fn*
-    must then manage its own worker-side state (*initializer* is for
-    per-call pools, whose single configuration it pins).
+    payload — runs *worker_fn* in-process: same order, fully lazy, no
+    :mod:`multiprocessing` and no pickling.  Otherwise the payloads go
+    to *pool*, or, without one, to a :class:`WorkerPool` opened for
+    this call and closed once its results are drained.  Pool workers
+    carry no per-call configuration: *worker_fn* builds any state it
+    needs itself (see the keyed caches of :func:`_pool_parse_chunk`).
 
     *workers* is validated eagerly, at the call site rather than from
     inside the pool mid-stream (callers resolve 0/None via
@@ -656,48 +607,28 @@ def imap_bounded(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return _imap_bounded(
-        worker_fn,
-        payloads,
-        workers,
-        initializer=initializer,
-        max_inflight=max_inflight,
-        pool=pool,
-    )
+    return _imap_bounded(worker_fn, payloads, workers, max_inflight, pool)
 
 
 def _imap_bounded(
     worker_fn: Callable[[_Payload], _Result],
     payloads: Iterable[_Payload],
     workers: int,
-    *,
-    initializer: Optional[Callable[[], None]],
     max_inflight: Optional[int],
     pool: Optional[WorkerPool],
 ) -> Iterator[_Result]:
-    iterator = iter(payloads)
-    collapsed = False
-    if workers != 1:
-        head = list(islice(iterator, 2))
-        if len(head) > 1:
-            iterator = chain(head, iterator)
-        else:
-            iterator, workers, collapsed = iter(head), 1, True
-    if workers == 1:
-        if collapsed and initializer is not None:
-            # A multi-worker run that turned out to hold <= 1 payload
-            # executes the worker fn in-process; run its initializer
-            # here so worker-global state (per-worker caches) exists
-            # exactly as it would inside a pool.  (Pool worker fns need
-            # no initializer — their keyed state builds itself.)
-            initializer()
+    iterator, pooled = _fan_out(payloads, workers)
+    if not pooled:
         for payload in iterator:
             yield worker_fn(payload)
         return
     if max_inflight is None:
         max_inflight = workers * _CHUNKS_PER_WORKER
     max_inflight = max(max_inflight, workers)
-    if pool is not None:
+    owned = pool is None
+    if owned:
+        pool = WorkerPool(workers)
+    try:
         executor = pool.executor()
         pending: deque = deque()
         for payload in iterator:
@@ -706,19 +637,36 @@ def _imap_bounded(
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+    finally:
+        if owned:
+            pool.close()
+
+
+def _run_chunks(
+    payloads: Iterable[_Payload],
+    workers: int,
+    pool: Optional[WorkerPool],
+    pool_fn: Callable[[_Payload], bytes],
+    local_fn: Callable[[_Payload], _Result],
+    transport: Optional[TransportStats],
+) -> Iterator[_Result]:
+    """Each chunk's result in stream order — the one execution choice.
+
+    In-process through *local_fn* (run-local caches) at ``workers=1``
+    or when *payloads* holds at most one chunk, so no pool worker state
+    ever lands in this process.  Otherwise on *pool* — or on one opened
+    for the call — through *pool_fn*, whose pre-pickled results are
+    counted into *transport* and unpickled here.
+    """
+    iterator, pooled = _fan_out(payloads, workers)
+    if not pooled:
+        yield from map(local_fn, iterator)
         return
-    context = _fork_context()
-    kwargs = {} if context is None else {"mp_context": context}
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, **kwargs
-    ) as executor:
-        per_call_pending: deque = deque()
-        for payload in iterator:
-            per_call_pending.append(executor.submit(worker_fn, payload))
-            if len(per_call_pending) >= max_inflight:
-                yield per_call_pending.popleft().result()
-        while per_call_pending:
-            yield per_call_pending.popleft().result()
+    for data in imap_bounded(pool_fn, iterator, workers, pool=pool):
+        if transport is not None:
+            transport.chunks_shipped += 1
+            transport.shipped_bytes += len(data)
+        yield pickle.loads(data)
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +750,8 @@ def merge_studies(studies: Iterable[CorpusStudy], dedup: bool = True) -> CorpusS
     return merged
 
 
+
+
 # ---------------------------------------------------------------------------
 # Public drivers
 # ---------------------------------------------------------------------------
@@ -833,26 +783,34 @@ def build_query_logs_parallel(
     options: Optional[AnalysisOptions] = None,
     pool: Optional[WorkerPool] = None,
     transport: Optional[TransportStats] = None,
+    cache: Optional[ParseCache] = None,
 ) -> Dict[str, QueryLog]:
     """Streaming clean → parse → dedup over a whole corpus of raw logs.
 
-    All datasets share one worker pool, so small logs don't each pay
-    the pool start-up cost — and with *pool* (a persistent
-    :class:`WorkerPool`) not even this run pays it.  Corpus values may
-    be lists *or* lazy iterators (e.g.
+    The one ingestion driver, for every worker count.  All datasets
+    share one execution choice (see :func:`_run_chunks`): in-process,
+    with one run-local parse cache across every chunk and dataset — so
+    duplicate-heavy logs parse O(unique) texts — or one worker pool, so
+    small logs don't each pay the pool start-up cost, and with *pool*
+    (a persistent :class:`WorkerPool`) not even this run pays it.
+    *cache* (when given) is the in-process run cache, letting a caller
+    share it across calls and read its hit counters; pool workers keep
+    their own.
+
+    Corpus values may be lists *or* lazy iterators (e.g.
     :func:`repro.logs.sources.iter_entries`); either way the stream is
     chunked lazily (adaptive sizes unless *chunk_size* pins one) and
     consumed with bounded in-flight chunks.  Per dataset, shards reduce
-    through a pairwise merge tree in stream order: the result is
-    identical to the serial pipeline.  *transport* (when given)
-    receives the shipped-bytes and merge-time accounting.
+    through a pairwise merge tree in stream order, so every worker
+    count yields the same logs.  *transport* (when given) receives the
+    shipped-bytes and merge-time accounting.
 
     *options* selects sequence passes (``metrics`` containing
     ``streaks``): each chunk then also feeds its raw texts, in order,
     to a per-chunk :class:`~repro.analysis.streaks.StreakAccumulator`,
     and the chunk accumulators are stitched in stream order onto
-    ``QueryLog.sequences`` — byte-identical to a serial scan of the
-    whole log.  Each chunk payload also carries a lookahead of its
+    ``QueryLog.sequences`` — byte-identical to one scan of the whole
+    log.  Each chunk payload also carries a lookahead of its
     successor's head, so workers pre-score the boundary similarity
     decisions the stitch will consult instead of computing them on the
     serial merge path.  With ``options.lean_ingestion`` the parse /
@@ -878,15 +836,7 @@ def build_query_logs_parallel(
     # the producer — the backpressure window is unchanged.
     lookahead_size = options.streak_window if options is not None else 0
 
-    def payloads() -> Iterator[
-        Tuple[
-            str,
-            List[str],
-            Optional[Dict[str, str]],
-            Optional[AnalysisOptions],
-            Optional[List[str]],
-        ]
-    ]:
+    def payloads() -> Iterator[_ParsePayload]:
         """Lazily yield (dataset, chunk, prefixes, options, lookahead)."""
         for name, texts in corpora.items():
             held: Optional[List[str]] = None
@@ -898,37 +848,18 @@ def build_query_logs_parallel(
             if held is not None:
                 yield (name, held, extra_prefixes, options, None)
 
-    use_pool: Optional[WorkerPool] = None
-    if workers == 1:
-        # In-process: share one run-local parse cache across all chunks
-        # and datasets, like the serial pipeline — duplicate-heavy logs
-        # parse O(unique) texts, not O(total).  Run-local (not module
-        # state), so successive runs can't leak prefix environments.
-        cache = ParseCache()
-
-        def parse_chunk(payload):
-            """Parse one chunk in-process, sharing the run-local cache."""
-            name, texts, prefixes, chunk_options, lookahead = payload
-            return _ingest_scored(name, texts, prefixes, chunk_options, lookahead, cache)
-
-        worker_fn, initializer = parse_chunk, None
-    elif pool is not None:
-        worker_fn, initializer, use_pool = _pool_parse_chunk, None, pool
-    else:
-        worker_fn, initializer = _parse_chunk, _init_parse_worker
-
+    run_cache = cache if cache is not None else ParseCache()
     mergers: Dict[str, _TreeMerger] = {
         name: _TreeMerger(_merge_pair) for name in corpora
     }
-    for result in imap_bounded(
-        worker_fn, payloads(), workers, initializer=initializer, pool=use_pool
+    for name, shard, counter_delta in _run_chunks(
+        payloads(),
+        workers,
+        pool,
+        _pool_parse_chunk,
+        lambda payload: _ingest_scored(payload, run_cache),
+        transport,
     ):
-        if isinstance(result, bytes):
-            if transport is not None:
-                transport.chunks_shipped += 1
-                transport.shipped_bytes += len(result)
-            result = pickle.loads(result)
-        name, shard, counter_delta = result
         started = perf_counter()
         mergers[name].push(shard)
         if transport is not None:
@@ -946,9 +877,9 @@ def build_query_logs_parallel(
     if transport is not None:
         transport.merge_seconds += perf_counter() - started
     if options is not None:
-        # An empty corpus yields zero chunks and therefore no worker-built
+        # An empty corpus yields zero chunks and therefore no chunk-built
         # accumulators; selected sequence metrics must still come back as
-        # (empty) state, exactly like a serial scan of an empty stream.
+        # (empty) state, exactly like a scan of an empty stream.
         for shard in merged.values():
             for sequence_pass in resolve_sequence_passes(options.metrics):
                 shard.sequences.setdefault(
@@ -957,207 +888,84 @@ def build_query_logs_parallel(
     return {name: shard.to_query_log(name) for name, shard in merged.items()}
 
 
-def build_query_log_parallel(
-    name: str,
-    raw_queries: Iterable[str],
-    extra_prefixes: Optional[Dict[str, str]] = None,
-    *,
-    workers: Union[int, str, None] = None,
-    chunk_size: Optional[int] = None,
-    options: Optional[AnalysisOptions] = None,
-    pool: Optional[WorkerPool] = None,
-    transport: Optional[TransportStats] = None,
-) -> QueryLog:
-    """Streaming clean → parse → dedup, identical to the serial pipeline."""
-    logs = build_query_logs_parallel(
-        {name: raw_queries},
-        extra_prefixes,
-        workers=workers,
-        chunk_size=chunk_size,
-        options=options,
-        pool=pool,
-        transport=transport,
-    )
-    return logs[name]
-
-
-def study_corpus_parallel(
+def _study_corpus(
     logs: Mapping[str, QueryLog],
-    dedup: bool = True,
-    *,
-    workers: Union[int, str, None] = None,
-    chunk_size: Optional[int] = None,
-    options: Optional[AnalysisOptions] = None,
-    pool: Optional[WorkerPool] = None,
-    transport: Optional[TransportStats] = None,
+    dedup: bool,
+    workers: Union[int, str, None],
+    chunk_size: Optional[int],
+    options: Optional[AnalysisOptions],
+    pool: Optional[WorkerPool],
+    transport: Optional[TransportStats],
 ) -> CorpusStudy:
-    """Sharded corpus study, identical to the serial :func:`study_corpus`.
+    """The body of :func:`~repro.analysis.study.study_corpus`.
 
-    The Table 1 counters (Total/Valid/Unique) are carried by the
-    pre-created per-dataset stats; worker shards contribute measurement
-    counters only, so merging never double-counts the pipeline totals.
-    Chunks are produced lazily and kept in flight in bounded number, so
-    even a huge materialized log is never copied wholesale into a
-    payload list.  Partial studies reduce through a pairwise merge tree
-    in stream order.
+    The Table 1 counters (Total/Valid/Unique) and the sequence
+    accumulators are carried by the pre-created per-dataset stats;
+    chunk studies contribute measurement counters only, so merging
+    never double-counts them.  Partial studies reduce through a
+    pairwise merge tree in stream order.
 
-    Without *pool*, per-call executors are used and on fork platforms
-    workers receive (name, start, stop) index slices, reading the logs
-    through inherited memory — no AST chunks are pickled into the pool
-    at all.  With a persistent *pool* the workers forked before this
-    run's logs existed, so query chunks are shipped in and compact
-    pre-reduced partial studies come back (pre-pickled, counted into
-    *transport*).
+    The parent is the persistent structure store's only writer.  It
+    opens the store (initializing the schema if needed) *before* any
+    pool work is submitted, so read-only worker attachments always find
+    a valid file; in-process chunks share one run-local cache backed by
+    that handle.  Every merged chunk's pending rows are flushed at the
+    chunk boundary — batched upserts, so duplicate discoveries across
+    workers are harmless.  A degraded open runs the whole study cold:
+    the path is stripped so no worker re-warns about the same file.
     """
     workers = pool.workers if pool is not None else resolve_workers(workers)
     if options is None:
         options = DEFAULT_OPTIONS
     store: Optional[StructureStore] = None
+    run_cache = StructureCache(options.cache_size)
     if options.structure_cache_path is not None:
-        # The parent is the store's single writer.  Open (initializing
-        # the schema if needed) *before* any pool work is submitted, so
-        # the read-only worker attachments always find a valid file.  A
-        # degraded open runs the whole study cold: strip the path so
-        # every worker doesn't re-warn about the same broken file.
         store = StructureStore.open(options.structure_cache_path)
         if store is None:
             options = replace(options, structure_cache_path=None)
-    try:
-        return _study_corpus_parallel(
-            logs, dedup, workers, chunk_size, options, store, pool, transport
-        )
-    finally:
-        if store is not None:
-            store.close()
-
-
-def _study_corpus_parallel(
-    logs: Mapping[str, QueryLog],
-    dedup: bool,
-    workers: int,
-    chunk_size: Optional[int],
-    options: AnalysisOptions,
-    store: Optional[StructureStore],
-    pool: Optional[WorkerPool],
-    transport: Optional[TransportStats],
-) -> CorpusStudy:
-    """The driver body behind :func:`study_corpus_parallel`.
-
-    *store* (when given) is the parent's writable handle on the
-    persistent structure store: every merged chunk's pending rows are
-    flushed through it at the chunk boundary — batched upserts, so
-    duplicate discoveries across workers are harmless.
-    """
+        else:
+            run_cache = StoreBackedStructureCache(options.cache_size, store)
     study = CorpusStudy(dedup=dedup)
-    total = sum(log.unique for log in logs.values())
-    schedule = _chunk_schedule(chunk_size, total, workers)
+    schedule = _chunk_schedule(
+        chunk_size, sum(log.unique for log in logs.values()), workers
+    )
     for name, log in logs.items():
-        # The sequence accumulators (like the Table 1 counters) were
-        # computed at ingestion over the whole ordered stream; worker
-        # shards carry none, so merging never double-counts them.
         study.datasets[name] = DatasetStats(
             name=name, total=log.total, valid=log.valid, unique=log.unique,
             streaks=_claim_streaks(name, log),
         )
-    initializer = partial(_init_measure_worker, options)
 
-    def drain(results: Iterable) -> None:
-        """Tree-merge partial studies as they arrive, flushing store rows."""
-        merger = _TreeMerger(_merge_pair)
-        for result in results:
-            if isinstance(result, bytes):
-                if transport is not None:
-                    transport.chunks_shipped += 1
-                    transport.shipped_bytes += len(result)
-                result = pickle.loads(result)
-            shard, rows = result
+    def chunk_payloads() -> Iterator[_MeasurePayload]:
+        """Lazily yield (dataset, chunk, dedup, options) payloads."""
+        for name, log in logs.items():
+            for chunk in iter_scheduled_chunks(log.unique_queries(), schedule):
+                yield (name, chunk, dedup, options)
+
+    merger = _TreeMerger(_merge_pair)
+    try:
+        for shard, rows in _run_chunks(
+            chunk_payloads(),
+            workers,
+            pool,
+            _pool_measure_chunk,
+            lambda payload: _measure_payload(payload, run_cache),
+            transport,
+        ):
             started = perf_counter()
             merger.push(shard)
             if transport is not None:
                 transport.merge_seconds += perf_counter() - started
             if store is not None:
                 store.put_many(rows)
-        started = perf_counter()
-        tail = merger.result()
-        if tail is not None:
-            study.merge(tail)
-        if transport is not None:
-            transport.merge_seconds += perf_counter() - started
-
-    def chunk_payloads() -> Iterator[Tuple[str, List[ParsedQuery], bool, AnalysisOptions]]:
-        """Lazily yield (dataset, chunk, dedup, options) payloads."""
-        for name, log in logs.items():
-            for chunk in iter_scheduled_chunks(log.unique_queries(), schedule):
-                yield (name, chunk, dedup, options)
-
-    if pool is not None and workers != 1:
-        # Persistent pool: workers forked before this run's logs
-        # existed, so chunks of the unique stream are shipped in and
-        # compact snapshot payloads come back (see _pool_measure_chunk).
-        drain(
-            imap_bounded(
-                _pool_measure_chunk, chunk_payloads(), workers, pool=pool
-            )
-        )
-        return study
-
-    if workers != 1 and _fork_context() is not None:
-        # Per-call fork path: ship (name, start, stop) index slices and
-        # let the workers read the logs from inherited memory — no
-        # pickling of AST chunks into the pool, only the small partial
-        # studies back.
-        def slice_payloads() -> Iterator[Tuple[str, int, int, bool, AnalysisOptions]]:
-            """Lazily yield (dataset, start, stop) index-slice payloads."""
-            for name, log in logs.items():
-                start = 0
-                while start < log.unique:
-                    stop = min(start + next(schedule), log.unique)
-                    yield (name, start, stop, dedup, options)
-                    start = stop
-
-        global _SHARED_LOGS
-        with _SHARED_LOGS_LOCK:
-            _SHARED_LOGS = logs
-            try:
-                drain(
-                    imap_bounded(
-                        _measure_slice,
-                        slice_payloads(),
-                        workers,
-                        initializer=initializer,
-                    )
-                )
-            finally:
-                _SHARED_LOGS = None
-        return study
-
-    if workers == 1:
-        # In-process: one run-local cache shared across all chunks and
-        # datasets, like the serial study — duplicate shapes reuse
-        # their structure results.  Run-local (not module state), so
-        # successive runs with different options can't interfere.  With
-        # a store, the run cache reads *and* queues writes through the
-        # parent handle directly.
-        run_cache: StructureCache
+    finally:
         if store is not None:
-            run_cache = StoreBackedStructureCache(options.cache_size, store)
-        else:
-            run_cache = StructureCache(options.cache_size)
-
-        def measure_payload(payload):
-            """Measure one chunk in-process, sharing the run-local cache."""
-            name, chunk, payload_dedup, payload_options = payload
-            partial_study = measure_chunk(
-                name, chunk, dedup=payload_dedup, options=payload_options,
-                cache=run_cache,
-            )
-            return partial_study, pending_rows(run_cache)
-
-        worker_fn = measure_payload
-    else:
-        worker_fn = _measure_chunk
-
-    drain(
-        imap_bounded(worker_fn, chunk_payloads(), workers, initializer=initializer)
-    )
+            store.close()
+    started = perf_counter()
+    tail = merger.result()
+    if tail is not None:
+        study.merge(tail)
+    if transport is not None:
+        transport.merge_seconds += perf_counter() - started
+    if options.profile and study.pass_profile is None:
+        study.pass_profile = PassProfile()  # a profiled run without queries
     return study

@@ -63,7 +63,7 @@ from .analysis.incremental import WatchCycle, WatchSession
 from .analysis.snapshot import load_study, save_study
 from .analysis.streaks import DEFAULT_STREAK_THRESHOLD, DEFAULT_STREAK_WINDOW
 from .analysis.study import CorpusStudy, study_corpus
-from .logs import ParseCache, QueryLog, build_query_log, dataset_name, iter_entries
+from .logs import QueryLog, dataset_name, iter_entries
 from .logs.sources import read_entries
 from .reporting.reporters import render_report
 
@@ -374,35 +374,26 @@ class AnalysisSession:
     ) -> Dict[str, QueryLog]:
         """Clean → parse → dedup the request's inputs into query logs.
 
-        Sequence metrics (``streaks``) are computed here — the ordered
-        raw stream no longer exists after deduplication — by the
-        chunked driver, whose per-chunk accumulators stitch back to the
-        exact serial scan.  A sequence-only selection ingests leanly by
+        One chunked driver serves every worker count and all datasets:
+        in-process it shares one parse cache across them, so texts
+        recurring across endpoint logs are parsed once; sharded they
+        share one pool.  Sequence metrics (``streaks``) are computed
+        here — the ordered raw stream no longer exists after
+        deduplication — and the per-chunk accumulators stitch back to
+        one exact scan.  A sequence-only selection ingests leanly by
         default (no parse/dedup/AST retention; see
         :attr:`AnalysisRequest.lean`)."""
         corpora = self._resolve_corpora(request)
         prefixes = dict(request.extra_prefixes) if request.extra_prefixes else None
-        sequences = resolve_sequence_passes(request.metrics)
-        workers = pool.workers if pool is not None else resolve_workers(request.workers)
-        if request.stream or workers != 1 or sequences:
-            # One pool over all datasets: small logs share the worker
-            # start-up; lazy sources keep peak memory O(workers × chunk).
-            return build_query_logs_parallel(
-                corpora,
-                prefixes,
-                workers=workers,
-                chunk_size=request.chunk_size,
-                options=request.options() if sequences else None,
-                pool=pool,
-                transport=transport,
-            )
-        # Serial path: one parse cache across all datasets, so texts
-        # recurring across endpoint logs are parsed once.
-        cache = ParseCache()
-        return {
-            name: build_query_log(name, texts, prefixes, cache=cache)
-            for name, texts in corpora.items()
-        }
+        return build_query_logs_parallel(
+            corpora,
+            prefixes,
+            workers=request.workers,
+            chunk_size=request.chunk_size,
+            options=request.options(),
+            pool=pool,
+            transport=transport,
+        )
 
     def measure(
         self,
@@ -416,7 +407,7 @@ class AnalysisSession:
         return study_corpus(
             logs,
             dedup=request.dedup,
-            workers=pool.workers if pool is not None else resolve_workers(request.workers),
+            workers=request.workers,
             chunk_size=request.chunk_size,
             options=request.options(),
             pool=pool,

@@ -27,11 +27,15 @@ The :class:`QueryLog` produced here is the input to every analysis in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import SparqlSyntaxError
 from ..rdf.namespaces import WELL_KNOWN_PREFIXES
 from ..sparql import ast, parse_query
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from ..analysis.context import AnalysisOptions
+    from ..analysis.parallel import TransportStats, WorkerPool
 
 __all__ = [
     "ParsedQuery",
@@ -234,32 +238,38 @@ def build_query_log(
     raw_queries: Iterable[str],
     extra_prefixes: Optional[Dict[str, str]] = None,
     *,
-    workers: int = 1,
+    workers: Union[int, str, None] = 1,
     chunk_size: Optional[int] = None,
     cache: Optional[ParseCache] = None,
+    options: Optional["AnalysisOptions"] = None,
+    pool: Optional["WorkerPool"] = None,
+    transport: Optional["TransportStats"] = None,
 ) -> QueryLog:
     """Run the clean → parse → dedup pipeline over raw query texts.
 
     *raw_queries* is the post-cleaning stream (strings that look like
     queries) and may be a one-shot lazy iterator, e.g. from
-    :func:`repro.logs.sources.iter_entries`: both the serial pass and
-    the chunked workers path consume it incrementally, so peak memory
-    is bounded by the chunk window plus the deduplicated unique state —
-    never the raw log size.  Entries failing to parse count toward
-    Total but not Valid.  With ``workers != 1`` the stream is split
-    into chunks that are parsed on worker processes with bounded
-    in-flight chunks and merged in stream order; the result is
-    identical to the serial pass, but *cache* is ignored — caches
-    cannot cross process boundaries, so each pool worker keeps its own.
-    """
-    if workers != 1:
-        from ..analysis.parallel import build_query_log_parallel
+    :func:`repro.logs.sources.iter_entries`: it is consumed in chunks,
+    so peak memory is bounded by the chunk window plus the deduplicated
+    unique state — never the raw log size.  Entries failing to parse
+    count toward Total but not Valid.
 
-        return build_query_log_parallel(
-            name,
-            raw_queries,
-            extra_prefixes=extra_prefixes,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
-    return process_entries(raw_queries, extra_prefixes, cache).to_query_log(name)
+    This is the one-dataset form of
+    :func:`repro.analysis.parallel.build_query_logs_parallel`, which
+    takes the remaining arguments: chunks run in-process at
+    ``workers=1`` — sharing *cache*, when given, so one cache can serve
+    a whole multi-file run — and on worker processes otherwise, merged
+    in stream order; every worker count gives the same log.
+    """
+    from ..analysis.parallel import build_query_logs_parallel
+
+    return build_query_logs_parallel(
+        {name: raw_queries},
+        extra_prefixes,
+        workers=workers,
+        chunk_size=chunk_size,
+        options=options,
+        pool=pool,
+        transport=transport,
+        cache=cache,
+    )[name]

@@ -1,42 +1,7 @@
-"""The deprecation shims for relocated entry points must warn — and
-keep working — until they are removed."""
-
-import pytest
-
-from repro.analysis import study as study_module
-from repro.analysis.context import DEFAULT_SHAPE_NODE_LIMIT
-from repro.analysis.passes import NON_CTRACT_LIMIT
-
-
-class TestStudyAliases:
-    def test_shape_node_limit_alias_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="_SHAPE_NODE_LIMIT"):
-            value = study_module._SHAPE_NODE_LIMIT
-        assert value == DEFAULT_SHAPE_NODE_LIMIT
-
-    def test_non_ctract_limit_alias_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="_NON_CTRACT_LIMIT"):
-            value = study_module._NON_CTRACT_LIMIT
-        assert value == NON_CTRACT_LIMIT
-
-    def test_warning_names_the_replacement(self):
-        with pytest.warns(DeprecationWarning, match="AnalysisOptions"):
-            study_module._SHAPE_NODE_LIMIT
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            study_module._NO_SUCH_ALIAS
+"""Normal runs must not trip any deprecation warning."""
 
 
 class TestCliReadQueryFile:
-    def test_warns_and_delegates(self, tmp_path):
-        from repro.cli import read_query_file
-
-        path = tmp_path / "q.rq"
-        path.write_text("ASK { ?s ?p ?o }\n")
-        with pytest.warns(DeprecationWarning, match="read_entries"):
-            assert read_query_file(path) == ["ASK { ?s ?p ?o }"]
-
     def test_normal_cli_runs_do_not_warn(self, tmp_path, capsys, recwarn):
         from repro.cli import main
 

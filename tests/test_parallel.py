@@ -6,6 +6,7 @@ stream order reproduces the single-pass result exactly — Table 1
 counters, histograms, fragment counts, and the rendered report bytes.
 """
 
+import multiprocessing
 from collections import Counter
 from functools import lru_cache
 
@@ -52,6 +53,10 @@ def corpus_logs():
 @lru_cache(maxsize=1)
 def serial_study():
     return study_corpus(corpus_logs(), dedup=True)
+
+
+def _double(n):
+    return 2 * n
 
 
 def split_at(items, cuts):
@@ -210,15 +215,22 @@ class TestStudyMerge:
         assert render_study(parallel, logs) == render_study(serial, logs)
 
     def test_fork_shared_slices_match_chunk_payloads(self):
-        # The fork path ships (name, start, stop) index slices through
-        # inherited memory; it must reproduce the pickled-chunk path
-        # (and the serial pass) exactly, and clean up the shared state.
-        from repro.analysis import parallel as par
-
+        # Without a pool the driver opens one for the call and ships
+        # query chunks to it; the report must match the serial pass.
         logs = corpus_logs()
         result = study_corpus_parallel(logs, dedup=True, workers=2, chunk_size=7)
-        assert par._SHARED_LOGS is None
         assert render_study(result, logs) == render_study(serial_study(), logs)
+
+    def test_pool_less_calls_leave_no_worker_processes(self):
+        from repro.analysis.parallel import imap_bounded
+
+        # Children left by other tests' sessions are not this call's.
+        before = set(multiprocessing.active_children())
+        logs = corpus_logs()
+        study_corpus(logs, workers=2, chunk_size=7)
+        assert set(multiprocessing.active_children()) <= before
+        assert list(imap_bounded(_double, [1, 2, 3], workers=2)) == [2, 4, 6]
+        assert set(multiprocessing.active_children()) <= before
 
     def test_serial_fallback_is_executor_free(self):
         # workers=1 through the parallel driver must not need pickling

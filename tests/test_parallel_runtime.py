@@ -11,8 +11,10 @@ validates everywhere; transport counters ride the pass profile and its
 snapshot codec stays backward compatible.
 """
 
+import os
 from functools import lru_cache, reduce
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,35 @@ class TestSessionPoolReuse:
         with AnalysisSession() as session:
             session.run(request)
             assert session._pool is None
+
+    def test_collapsed_pooled_run_leaves_no_worker_state(self, tmp_path, monkeypatch):
+        # A 40-entry day log fits one chunk, so a workers=2 session runs
+        # it in-process: the pool workers' keyed caches must stay empty
+        # here, and no handle on the store may outlive the session.
+        from repro.analysis import parallel
+
+        monkeypatch.setattr(parallel, "_POOL_PARSE_CACHES", {})
+        monkeypatch.setattr(parallel, "_POOL_STRUCTURE_CACHES", {})
+        store = tmp_path / "store.sqlite"
+        request = AnalysisRequest(
+            corpora={"d": generate_day_log(40, seed=3)},
+            workers=2,
+            structure_cache_path=store,
+        )
+        with AnalysisSession() as session:
+            session.run(request)
+        assert parallel._POOL_PARSE_CACHES == {}
+        assert parallel._POOL_STRUCTURE_CACHES == {}
+        fd_dir = Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("no /proc: open file handles are not observable")
+        open_paths = []
+        for fd in fd_dir.iterdir():
+            try:
+                open_paths.append(os.readlink(fd))
+            except OSError:  # closed between listing and reading
+                continue
+        assert not [path for path in open_paths if path.startswith(str(store))]
 
     def test_worker_count_change_replaces_the_pool(self):
         with AnalysisSession() as session:
