@@ -16,7 +16,7 @@ influence structure or cyclicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..rdf.terms import BlankNode, Term, Variable
 from ..sparql import ast, walk
@@ -28,6 +28,7 @@ __all__ = [
     "canonical_hypergraph",
     "has_predicate_variable",
     "collect_triples",
+    "is_variable_equality",
 ]
 
 
@@ -43,13 +44,29 @@ def has_predicate_variable(pattern: Optional[ast.Pattern]) -> bool:
     are analyzed through their hypergraph instead (§6.2).
     """
     return any(
-        isinstance(triple.predicate, Variable)
-        for triple in collect_triples(pattern)
+        isinstance(node, ast.TriplePattern) and isinstance(node.predicate, Variable)
+        for node in walk.iter_patterns(pattern, enter_subqueries=False)
     )
 
 
-def _equality_classes(pattern: Optional[ast.Pattern]) -> Dict[Term, Term]:
-    """Union-find representatives for ``?x = ?y`` filter collapsing."""
+def is_variable_equality(expression: ast.Expression) -> bool:
+    """Whether a filter constraint has the form ``?x = ?y``."""
+    return (
+        isinstance(expression, ast.Comparison)
+        and expression.op == "="
+        and isinstance(expression.left, ast.TermExpression)
+        and isinstance(expression.left.term, Variable)
+        and isinstance(expression.right, ast.TermExpression)
+        and isinstance(expression.right.term, Variable)
+    )
+
+
+def _triples_and_equalities(
+    pattern: Optional[ast.Pattern],
+) -> Tuple[List[ast.TriplePattern], Dict[Term, Term]]:
+    """The triple patterns in document order and the union-find
+    representatives of ``?x = ?y`` filter collapsing, from one walk."""
+    triples: List[ast.TriplePattern] = []
     parent: Dict[Term, Term] = {}
 
     def find(term: Term) -> Term:
@@ -61,25 +78,17 @@ def _equality_classes(pattern: Optional[ast.Pattern]) -> Dict[Term, Term]:
             parent[term], term = root, parent[term]
         return root
 
-    def union(a: Term, b: Term) -> None:
-        """Union the equivalence classes of *a* and *b*."""
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            parent[root_a] = root_b
-
     for node in walk.iter_patterns(pattern, enter_subqueries=False):
-        if isinstance(node, ast.FilterPattern):
-            expression = node.expression
-            if (
-                isinstance(expression, ast.Comparison)
-                and expression.op == "="
-                and isinstance(expression.left, ast.TermExpression)
-                and isinstance(expression.left.term, Variable)
-                and isinstance(expression.right, ast.TermExpression)
-                and isinstance(expression.right.term, Variable)
-            ):
-                union(expression.left.term, expression.right.term)
-    return {term: find(term) for term in parent}
+        if isinstance(node, ast.TriplePattern):
+            triples.append(node)
+        elif isinstance(node, ast.FilterPattern) and is_variable_equality(
+            node.expression
+        ):
+            root_a = find(node.expression.left.term)
+            root_b = find(node.expression.right.term)
+            if root_a != root_b:
+                parent[root_a] = root_b
+    return triples, {term: find(term) for term in parent}
 
 
 def canonical_graph(
@@ -97,21 +106,17 @@ def canonical_graph(
     triples with a constant endpoint then contribute an isolated node
     or nothing, rather than an edge.
     """
-    representatives = (
-        _equality_classes(pattern) if collapse_equalities else {}
-    )
-
-    def rep(term: Term) -> Term:
-        """Canonical representative of *term* under ``SameTerm`` merging."""
-        return representatives.get(term, term)
-
+    triples, representatives = _triples_and_equalities(pattern)
+    if not collapse_equalities:
+        representatives = {}
     graph = Multigraph()
-    for triple in collect_triples(pattern):
+    for triple in triples:
         if isinstance(triple.predicate, Variable):
             raise ValueError(
                 "canonical graph undefined for predicate-variable triples"
             )
-        subject, obj = rep(triple.subject), rep(triple.object)
+        subject = representatives.get(triple.subject, triple.subject)
+        obj = representatives.get(triple.object, triple.object)
         if include_constants:
             graph.add_edge(subject, obj)
             continue

@@ -139,20 +139,21 @@ def graph_signature(graph: Multigraph) -> Tuple:
     constant usage) is therefore exactly what a fresh computation would
     produce.
     """
-    ids: Dict[object, Tuple[int, str]] = {}
+    nodes = graph.nodes()
+    ids: Dict[int, Tuple[int, str]] = {}
 
-    def nid(node: object) -> Tuple[int, str]:
-        """First-appearance id and kind tag of *node*."""
+    def nid(node: int) -> Tuple[int, str]:
+        """First-appearance id and kind tag of node id *node*."""
         entry = ids.get(node)
         if entry is None:
-            entry = ids[node] = (len(ids), _node_kind(node))
+            entry = ids[node] = (len(ids), _node_kind(nodes[node]))
         return entry
 
     parts: List[Tuple] = [
         (nid(u), nid(v), multiplicity)
-        for u, v, multiplicity in graph.edge_triples()
+        for u, v, multiplicity in graph.id_triples()
     ]
-    for node in graph.nodes():
+    for node in range(len(nodes)):
         if node not in ids:
             parts.append(("isolated", nid(node)))
     return tuple(parts)

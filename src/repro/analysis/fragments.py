@@ -21,10 +21,11 @@ predicates and a one-shot :func:`classify_fragments`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Set
 
 from ..rdf.terms import Variable
 from ..sparql import ast, walk
+from .canonical import is_variable_equality
 from .welldesigned import (
     build_pattern_tree,
     interface_width,
@@ -45,76 +46,87 @@ __all__ = [
 
 def is_simple_filter(expression: ast.Expression) -> bool:
     """A filter constraint R is *simple* if vars(R) has at most one
-    variable, or R is of the form ``?x = ?y`` (§5.2)."""
-    variables = walk.expression_variables(expression)
-    if len(variables) <= 1:
-        # EXISTS would smuggle patterns into the filter; exclude it.
-        return not _contains_exists(expression)
-    if (
-        isinstance(expression, ast.Comparison)
-        and expression.op == "="
-        and isinstance(expression.left, ast.TermExpression)
-        and isinstance(expression.left.term, Variable)
-        and isinstance(expression.right, ast.TermExpression)
-        and isinstance(expression.right.term, Variable)
-    ):
-        return True
-    return False
-
-
-def _contains_exists(expression: ast.Expression) -> bool:
-    return any(
-        isinstance(node, ast.ExistsExpression)
-        for node in walk.iter_expressions(expression)
+    variable, or R is of the form ``?x = ?y`` (§5.2).  EXISTS would
+    smuggle patterns into the filter, so a filter using it is never
+    simple."""
+    variables = _filter_variables(expression)
+    return variables is not None and (
+        len(variables) <= 1 or is_variable_equality(expression)
     )
 
 
-def _body_uses_only(pattern: Optional[ast.Pattern], allowed: tuple) -> bool:
-    """True when every node of the pattern tree is a GroupPattern,
-    a TriplePattern, or one of *allowed* node types."""
+def _filter_variables(expression: ast.Expression) -> Optional[Set[Variable]]:
+    """vars(R) of a filter constraint, or None when it uses EXISTS."""
+    variables: Set[Variable] = set()
+    for node in walk.iter_expressions(expression):
+        if isinstance(node, ast.TermExpression):
+            if isinstance(node.term, Variable):
+                variables.add(node.term)
+        elif isinstance(node, ast.ExistsExpression):
+            return None
+    return variables
+
+
+class _AofScan(NamedTuple):
+    """What one walk over an AOF pattern learns about it."""
+
+    has_optional: bool
+    has_filter: bool
+    simple_filters: bool
+
+
+def _scan_aof(pattern: Optional[ast.Pattern]) -> Optional[_AofScan]:
+    """Walk the pattern once: None unless every node is a group, a
+    triple pattern, an OPTIONAL or an EXISTS-free FILTER (the AOF
+    fragment), else which operators occur and whether every filter is
+    simple."""
     if pattern is None:
-        return False
-    for node in walk.iter_patterns(pattern, enter_subqueries=False):
-        if isinstance(node, (ast.GroupPattern, ast.TriplePattern)):
+        return None
+    has_optional = has_filter = False
+    simple = True
+    stack = [pattern]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.GroupPattern):
+            stack.extend(node.elements)
+        elif isinstance(node, ast.TriplePattern):
             continue
-        if isinstance(node, allowed):
-            if isinstance(node, ast.FilterPattern) and _contains_exists(
-                node.expression
-            ):
-                return False
-            continue
-        return False
-    return True
+        elif isinstance(node, ast.FilterPattern):
+            variables = _filter_variables(node.expression)
+            if variables is None:
+                return None
+            has_filter = True
+            if simple and len(variables) > 1:
+                simple = is_variable_equality(node.expression)
+        elif isinstance(node, ast.OptionalPattern):
+            has_optional = True
+            stack.append(node.pattern)
+        else:
+            return None
+    return _AofScan(has_optional, has_filter, simple)
 
 
 def is_cq(pattern: Optional[ast.Pattern]) -> bool:
     """Conjunctive query: triple patterns and And only."""
-    return _body_uses_only(pattern, ())
+    scan = _scan_aof(pattern)
+    return scan is not None and not scan.has_optional and not scan.has_filter
 
 
 def is_cpf(pattern: Optional[ast.Pattern]) -> bool:
     """Conjunctive pattern with filters: triples, And, Filter."""
-    return _body_uses_only(pattern, (ast.FilterPattern,))
+    scan = _scan_aof(pattern)
+    return scan is not None and not scan.has_optional
 
 
 def is_cqf(pattern: Optional[ast.Pattern]) -> bool:
     """CPF with only simple filters (Definition 5.2)."""
-    if not is_cpf(pattern):
-        return False
-    return _all_filters_simple(pattern)
+    scan = _scan_aof(pattern)
+    return scan is not None and not scan.has_optional and scan.simple_filters
 
 
 def is_aof(pattern: Optional[ast.Pattern]) -> bool:
     """And/Opt/Filter pattern: triples, And, Opt, Filter."""
-    return _body_uses_only(pattern, (ast.FilterPattern, ast.OptionalPattern))
-
-
-def _all_filters_simple(pattern: Optional[ast.Pattern]) -> bool:
-    for node in walk.iter_patterns(pattern, enter_subqueries=False):
-        if isinstance(node, ast.FilterPattern):
-            if not is_simple_filter(node.expression):
-                return False
-    return True
+    return _scan_aof(pattern) is not None
 
 
 @dataclass(frozen=True)
@@ -135,46 +147,46 @@ class FragmentProfile:
         return self.is_cq or self.is_cqf or self.is_cqof
 
 
+#: The profile of every pattern outside the AOF fragment.
+_OUTSIDE_AOF = FragmentProfile(
+    is_aof=False,
+    is_cq=False,
+    is_cpf=False,
+    is_cqf=False,
+    is_well_designed=False,
+    has_simple_filters=False,
+    interface_width=None,
+    is_cqof=False,
+)
+
+
 def classify_fragments(query: ast.Query) -> FragmentProfile:
     """Classify the body of a Select/Ask query into the §5.2 fragments.
 
     Queries of other types (or without a body) are outside all
-    fragments.
+    fragments.  Without OPTIONAL a pattern is trivially well-designed
+    and its pattern tree is a single node (interface width 0), so only
+    patterns with OPTIONAL build the algebra.
     """
     pattern = query.pattern
     if query.query_type not in (ast.QueryType.SELECT, ast.QueryType.ASK):
         pattern = None
-    aof = is_aof(pattern)
-    if not aof:
-        return FragmentProfile(
-            is_aof=False,
-            is_cq=False,
-            is_cpf=False,
-            is_cqf=False,
-            is_well_designed=False,
-            has_simple_filters=False,
-            interface_width=None,
-            is_cqof=False,
-        )
-    cq = is_cq(pattern)
-    cpf = is_cpf(pattern)
-    simple = _all_filters_simple(pattern)
-    cqf = cpf and simple
-    algebra = to_binary_algebra(pattern)
-    well_designed = is_well_designed(algebra)
-    width: Optional[int] = None
-    cqof = False
-    if well_designed:
-        tree = build_pattern_tree(algebra)
-        width = interface_width(tree)
-        cqof = simple and width <= 1
+    scan = _scan_aof(pattern)
+    if scan is None:
+        return _OUTSIDE_AOF
+    simple = scan.simple_filters
+    well_designed, width = True, 0
+    if scan.has_optional:
+        algebra = to_binary_algebra(pattern)
+        well_designed = is_well_designed(algebra)
+        width = interface_width(build_pattern_tree(algebra)) if well_designed else None
     return FragmentProfile(
         is_aof=True,
-        is_cq=cq,
-        is_cpf=cpf,
-        is_cqf=cqf,
+        is_cq=not scan.has_optional and not scan.has_filter,
+        is_cpf=not scan.has_optional,
+        is_cqf=not scan.has_optional and simple,
         is_well_designed=well_designed,
         has_simple_filters=simple,
         interface_width=width,
-        is_cqof=cqof,
+        is_cqof=well_designed and simple and width <= 1,
     )

@@ -4,14 +4,18 @@ Canonical graphs of queries (paper §5) are *pseudographs*: they can have
 self-loops (a triple ``?x :p ?x``) and parallel edges (two triples
 between the same pair of nodes), and both matter for shape
 classification — e.g. two parallel edges form a cycle of length two.
+
+Nodes are relabeled to dense ints as they are added, so the graph
+algorithms hash ints rather than RDF term dataclasses.  Everything the
+shape classes and the girth need is derived in one sweep,
+:class:`GraphFacts`, computed at most once per graph state.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
-__all__ = ["Multigraph"]
+__all__ = ["GraphFacts", "Multigraph"]
 
 Node = Hashable
 
@@ -24,31 +28,48 @@ class Multigraph:
     """
 
     def __init__(self) -> None:
-        self._adjacency: Dict[Node, Counter] = defaultdict(Counter)
-        self._loops: Counter = Counter()
+        self._index: Dict[Node, int] = {}
+        self._nodes: List[Node] = []
+        #: Per node id: neighbor id -> multiplicity (loops excluded),
+        #: in order of each pair's first edge.
+        self._adjacency: List[Dict[int, int]] = []
+        #: Node id -> loop count, in order of each node's first loop.
+        self._loops: Dict[int, int] = {}
         self._edge_count = 0
+        self._facts: Optional[GraphFacts] = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _id(self, node: Node) -> int:
+        index = self._index.get(node)
+        if index is None:
+            index = self._index[node] = len(self._nodes)
+            self._nodes.append(node)
+            self._adjacency.append({})
+            self._facts = None
+        return index
+
     def add_node(self, node: Node) -> None:
         """Ensure *node* exists (isolated nodes are legal)."""
-        self._adjacency[node]  # touch to create
+        self._id(node)
 
     def add_edge(self, u: Node, v: Node) -> None:
         """Add one undirected edge (parallel edges accumulate)."""
-        if u == v:
-            self._adjacency[u]
-            self._loops[u] += 1
+        iu, iv = self._id(u), self._id(v)
+        if iu == iv:
+            self._loops[iu] = self._loops.get(iu, 0) + 1
         else:
-            self._adjacency[u][v] += 1
-            self._adjacency[v][u] += 1
+            row_u, row_v = self._adjacency[iu], self._adjacency[iv]
+            row_u[iv] = row_u.get(iv, 0) + 1
+            row_v[iu] = row_v.get(iu, 0) + 1
         self._edge_count += 1
+        self._facts = None
 
     def copy(self) -> "Multigraph":
         """An independent deep copy of the multigraph."""
         clone = Multigraph()
-        for node in self._adjacency:
+        for node in self._nodes:
             clone.add_node(node)
         for u, v, multiplicity in self.edge_triples():
             for _ in range(multiplicity):
@@ -60,11 +81,11 @@ class Multigraph:
     # ------------------------------------------------------------------
     def nodes(self) -> List[Node]:
         """All nodes, in insertion order."""
-        return list(self._adjacency)
+        return list(self._nodes)
 
     def node_count(self) -> int:
         """Number of nodes."""
-        return len(self._adjacency)
+        return len(self._nodes)
 
     def edge_count(self) -> int:
         """Total number of edges, counting multiplicity and loops."""
@@ -72,55 +93,62 @@ class Multigraph:
 
     def has_node(self, node: Node) -> bool:
         """Whether *node* is present."""
-        return node in self._adjacency
+        return node in self._index
+
+    def _row(self, node: Node) -> Dict[int, int]:
+        index = self._index.get(node)
+        return {} if index is None else self._adjacency[index]
 
     def neighbors(self, node: Node) -> List[Node]:
         """Distinct neighbors, excluding the node itself."""
-        return list(self._adjacency[node])
+        return [self._nodes[v] for v in self._row(node)]
 
     def multiplicity(self, u: Node, v: Node) -> int:
         """Number of parallel edges between *u* and *v*."""
         if u == v:
-            return self._loops[u]
-        return self._adjacency[u][v]
+            return self.loops_at(u)
+        iv = self._index.get(v)
+        return 0 if iv is None else self._row(u).get(iv, 0)
 
     def loops_at(self, node: Node) -> int:
         """Number of self-loops at *node*."""
-        return self._loops[node]
+        index = self._index.get(node)
+        return 0 if index is None else self._loops.get(index, 0)
 
     def degree(self, node: Node) -> int:
         """Degree with loops counted twice (graph-theory convention)."""
-        return sum(self._adjacency[node].values()) + 2 * self._loops[node]
+        return sum(self._row(node).values()) + 2 * self.loops_at(node)
 
     def simple_degree(self, node: Node) -> int:
         """Number of distinct neighbors (loops and multiplicity ignored)."""
-        return len(self._adjacency[node])
+        return len(self._row(node))
 
     def edge_triples(self) -> Iterator[Tuple[Node, Node, int]]:
         """Yield (u, v, multiplicity) once per unordered pair, plus
-        (u, u, loop-count) for loops."""
-        seen: Set[FrozenSet[Node]] = set()
-        for u, counter in self._adjacency.items():
-            for v, multiplicity in counter.items():
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
+        (u, u, loop-count) for loops, in :meth:`id_triples` order."""
+        nodes = self._nodes
+        for u, v, multiplicity in self.id_triples():
+            yield nodes[u], nodes[v], multiplicity
+
+    def id_triples(self) -> Iterator[Tuple[int, int, int]]:
+        """:meth:`edge_triples` over dense node ids (insertion ranks).
+
+        A pair is reported from its endpoint inserted first; loops
+        follow in the order their nodes first got one."""
+        for u, row in enumerate(self._adjacency):
+            for v, multiplicity in row.items():
+                if u < v:
                     yield u, v, multiplicity
         for node, loops in self._loops.items():
-            if loops:
-                yield node, node, loops
+            yield node, node, loops
 
     def has_loops(self) -> bool:
         """Whether any node has a self-loop."""
-        return any(count > 0 for count in self._loops.values())
+        return bool(self._loops)
 
     def has_parallel_edges(self) -> bool:
         """Whether any node pair is joined by more than one edge."""
-        return any(
-            multiplicity > 1
-            for u, v, multiplicity in self.edge_triples()
-            if u != v
-        )
+        return self.facts().has_parallel
 
     def is_simple(self) -> bool:
         """Whether the graph has neither loops nor parallel edges."""
@@ -129,105 +157,138 @@ class Multigraph:
     # ------------------------------------------------------------------
     # Derived structure
     # ------------------------------------------------------------------
+    def facts(self) -> "GraphFacts":
+        """The one-sweep structural facts, memoized until the next edit."""
+        if self._facts is None:
+            self._facts = GraphFacts(self._adjacency, self._loops, self._edge_count)
+        return self._facts
+
     def connected_components(self) -> List[Set[Node]]:
         """The connected components, as node sets in discovery order."""
-        remaining = set(self._adjacency)
-        components: List[Set[Node]] = []
-        while remaining:
-            start = next(iter(remaining))
-            component = {start}
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                for neighbor in self._adjacency[node]:
-                    if neighbor not in component:
-                        component.add(neighbor)
-                        queue.append(neighbor)
-            components.append(component)
-            remaining -= component
-        return components
+        nodes = self._nodes
+        return [
+            {nodes[member] for member in component}
+            for component in self.facts().components
+        ]
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (empty graphs count as connected)."""
-        if not self._adjacency:
-            return True
-        return len(self.connected_components()) == 1
-
-    def induced_subgraph(self, nodes: Iterable[Node]) -> "Multigraph":
-        """The subgraph induced by *nodes* (edges within the set only)."""
-        node_set = set(nodes)
-        sub = Multigraph()
-        for node in node_set:
-            sub.add_node(node)
-            for _ in range(self._loops[node]):
-                sub.add_edge(node, node)
-        seen: Set[FrozenSet[Node]] = set()
-        for u in node_set:
-            for v, multiplicity in self._adjacency[u].items():
-                if v in node_set:
-                    key = frozenset((u, v))
-                    if key not in seen:
-                        seen.add(key)
-                        for _ in range(multiplicity):
-                            sub.add_edge(u, v)
-        return sub
-
-    def remove_node(self, node: Node) -> "Multigraph":
-        """Return a copy with *node* (and incident edges) removed."""
-        return self.induced_subgraph(set(self._adjacency) - {node})
-
-    def simple_graph(self) -> Dict[Node, Set[Node]]:
-        """Plain adjacency sets: loops dropped, multiplicity flattened."""
-        return {
-            node: set(counter)
-            for node, counter in self._adjacency.items()
-        }
+        return len(self.facts().components) <= 1
 
     def is_acyclic_simple(self) -> bool:
         """True when the graph is a simple forest (no loops, no
         parallel edges, no cycles)."""
-        if self.has_loops() or self.has_parallel_edges():
-            return False
-        # A simple graph is a forest iff every component has |E| = |V|-1.
-        for component in self.connected_components():
-            edges = sum(
-                1
-                for u, v, _ in self.edge_triples()
-                if u in component and v in component and u != v
-            )
-            if edges != len(component) - 1:
-                return False
-        return True
+        return self.facts().forest
 
     def girth(self) -> Optional[int]:
         """Length of the shortest cycle; ``None`` if acyclic.
 
         Self-loops have girth 1 and parallel edges girth 2.
         """
-        if self.has_loops():
+        facts = self.facts()
+        if facts.has_loops:
             return 1
-        if self.has_parallel_edges():
+        if facts.has_parallel:
             return 2
-        best: Optional[int] = None
-        adjacency = self.simple_graph()
-        for start in adjacency:
-            # BFS from start; a non-tree edge closing at depths d1, d2
-            # witnesses a cycle of length d1 + d2 + 1.
-            distance = {start: 0}
-            parent = {start: None}
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                for neighbor in adjacency[node]:
-                    if neighbor not in distance:
-                        distance[neighbor] = distance[node] + 1
-                        parent[neighbor] = node
-                        queue.append(neighbor)
-                    elif parent[node] != neighbor:
-                        cycle_length = distance[node] + distance[neighbor] + 1
-                        if best is None or cycle_length < best:
-                            best = cycle_length
+        if facts.forest:
+            return None
+        adjacency = facts.adjacency
+        best = facts.node_count + 1  # longer than any cycle
+        for component, simple_edges in zip(facts.components, facts.component_edges):
+            if simple_edges < len(component):
+                continue  # a tree: no start in it closes a cycle
+            for start in component:
+                best = _shortest_cycle_through_bfs(adjacency, start, best)
+                if best == 3:
+                    return 3  # no simple graph does better
         return best
 
     def __repr__(self) -> str:
         return f"Multigraph(nodes={self.node_count()}, edges={self.edge_count()})"
+
+
+def _shortest_cycle_through_bfs(
+    adjacency: List[Dict[int, int]], start: int, best: int
+) -> int:
+    """BFS from *start* over a simple graph; a non-tree edge closing at
+    depths d1, d2 witnesses a cycle of length d1 + d2 + 1.  A node at
+    depth d closes nothing shorter than 2d, so the search stops once
+    2d reaches *best*.  Returns the improved bound."""
+    distance = {start: 0}
+    parent = {start: -1}
+    queue = [start]
+    for node in queue:
+        depth = distance[node]
+        if 2 * depth >= best:
+            break
+        for neighbor in adjacency[node]:
+            seen = distance.get(neighbor)
+            if seen is None:
+                distance[neighbor] = depth + 1
+                parent[neighbor] = node
+                queue.append(neighbor)
+            elif parent[node] != neighbor and depth + seen + 1 < best:
+                best = depth + seen + 1
+    return best
+
+
+class GraphFacts:
+    """One sweep over a multigraph's dense-int view.
+
+    Holds the int adjacency itself plus everything derived from it in a
+    single pass: connected components with their simple edge counts,
+    multigraph degrees (loops count twice), and whether any pair has
+    parallel edges.  A simple graph is a forest iff its simple edge
+    count is ``V − C``.
+    """
+
+    def __init__(
+        self, adjacency: List[Dict[int, int]], loops: Dict[int, int], edge_count: int
+    ) -> None:
+        node_count = len(adjacency)
+        #: Per node id: neighbor id -> multiplicity, loops excluded.
+        self.adjacency = adjacency
+        #: Node id -> loop count (only nodes with loops).
+        self.loops = loops
+        self.node_count = node_count
+        #: Total edges, counting multiplicity and loops.
+        self.edge_count = edge_count
+        degrees = [sum(row.values()) for row in adjacency]
+        # A row weighing more than its length holds a parallel pair.
+        has_parallel = any(
+            weight != len(row) for weight, row in zip(degrees, adjacency)
+        )
+        for node, count in loops.items():
+            degrees[node] += 2 * count
+        #: Per node id: multigraph degree, loops counted twice.
+        self.degrees = degrees
+        seen = [False] * node_count
+        components: List[List[int]] = []
+        component_edges: List[int] = []
+        for start in range(node_count):
+            if seen[start]:
+                continue
+            seen[start] = True
+            members = [start]
+            incidences = 0
+            for node in members:  # grows while iterated: a BFS queue
+                row = adjacency[node]
+                incidences += len(row)
+                for neighbor in row:
+                    if not seen[neighbor]:
+                        seen[neighbor] = True
+                        members.append(neighbor)
+            components.append(members)
+            component_edges.append(incidences // 2)
+        #: Node-id lists, in discovery order from the lowest id.
+        self.components = components
+        #: Distinct non-loop node pairs per component.
+        self.component_edges = component_edges
+        self.has_loops = bool(loops)
+        self.has_parallel = has_parallel
+        #: A simple forest: no loops, no parallel edges, no cycles.
+        self.forest = (
+            not loops
+            and not has_parallel
+            and sum(component_edges) == node_count - len(components)
+        )

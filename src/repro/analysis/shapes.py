@@ -25,9 +25,9 @@ flower set, cycle ⊆ petal ⊆ flower ⊆ flower set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set
 
-from .graphutil import Multigraph
+from .graphutil import GraphFacts, Multigraph
 
 __all__ = [
     "ShapeProfile",
@@ -59,28 +59,31 @@ SHAPE_ORDER = (
 )
 
 
+# Every predicate reads the graph's one-sweep facts (its dense-int
+# view, memoized on the graph), and :func:`classify_shape` composes the
+# same predicates, so each shape concept has exactly one implementation.
+
+
 def is_single_edge(graph: Multigraph) -> bool:
     """Whether the graph is one edge (possibly a loop), Table 4 row 1."""
-    return (
-        graph.edge_count() == 1
-        and graph.node_count() == 2
-        and not graph.has_loops()
-    )
+    facts = graph.facts()
+    return facts.edge_count == 1 and facts.node_count == 2 and not facts.has_loops
 
 
 def is_chain(graph: Multigraph) -> bool:
     """A path graph.  A single node without edges counts as a trivial
     chain (length 0); this only matters for constants-excluded graphs."""
-    if not graph.is_connected():
+    facts = graph.facts()
+    if len(facts.components) > 1 or facts.has_loops or facts.has_parallel:
         return False
-    if graph.has_loops() or graph.has_parallel_edges():
-        return False
-    if graph.node_count() <= 1:
-        return graph.edge_count() == 0
-    degrees = [graph.simple_degree(node) for node in graph.nodes()]
-    if any(degree > 2 for degree in degrees):
-        return False
-    endpoints = sum(1 for degree in degrees if degree == 1)
+    if facts.node_count <= 1:
+        return facts.edge_count == 0
+    endpoints = 0
+    for row in facts.adjacency:
+        if len(row) > 2:
+            return False
+        if len(row) == 1:
+            endpoints += 1
     # A connected, max-degree-2, simple graph is a path iff it has two
     # endpoints (otherwise it is a cycle).
     return endpoints == 2
@@ -88,93 +91,93 @@ def is_chain(graph: Multigraph) -> bool:
 
 def is_chain_set(graph: Multigraph) -> bool:
     """Whether every component is a chain."""
-    return all(
-        is_chain(graph.induced_subgraph(component))
-        for component in graph.connected_components()
-    )
+    # Components of a simple forest with at most two neighbors per node
+    # are paths or isolated nodes.
+    facts = graph.facts()
+    return facts.forest and all(len(row) <= 2 for row in facts.adjacency)
 
 
 def is_tree(graph: Multigraph) -> bool:
     """Whether the graph is a single tree."""
-    if not graph.is_connected():
-        return False
-    if graph.node_count() == 0:
-        return True
-    return graph.is_acyclic_simple()
+    facts = graph.facts()
+    return len(facts.components) <= 1 and facts.forest
 
 
 def is_forest(graph: Multigraph) -> bool:
     """Whether every component is a tree."""
-    return graph.is_acyclic_simple()
+    return graph.facts().forest
 
 
 def is_star(graph: Multigraph) -> bool:
     """A tree with exactly one node having more than two neighbors."""
     if not is_tree(graph):
         return False
-    centers = sum(
-        1 for node in graph.nodes() if graph.simple_degree(node) >= 3
-    )
-    return centers == 1
+    return sum(1 for row in graph.facts().adjacency if len(row) >= 3) == 1
 
 
 def is_cycle(graph: Multigraph) -> bool:
     """A single closed walk visiting every node: connected with every
     node of (multigraph) degree exactly 2 and |E| = |V|."""
-    if graph.node_count() == 0:
+    facts = graph.facts()
+    if facts.node_count == 0 or len(facts.components) > 1:
         return False
-    if not graph.is_connected():
-        return False
-    if graph.node_count() == 1:
-        return graph.loops_at(graph.nodes()[0]) == 1 and graph.edge_count() == 1
+    if facts.node_count == 1:
+        return facts.loops.get(0, 0) == 1 and facts.edge_count == 1
     return (
-        all(graph.degree(node) == 2 for node in graph.nodes())
-        and graph.edge_count() == graph.node_count()
+        all(degree == 2 for degree in facts.degrees)
+        and facts.edge_count == facts.node_count
     )
 
 
 def is_petal(graph: Multigraph) -> bool:
     """s and t joined by at least two internally node-disjoint paths."""
-    return _petal_endpoints(graph) is not None
+    facts = graph.facts()
+    if facts.node_count < 2 or len(facts.components) > 1 or facts.has_loops:
+        return False
+    nodes = range(facts.node_count)
+    return _petal_endpoints(nodes, facts.adjacency, facts.degrees) is not None
 
 
-def _petal_endpoints(graph: Multigraph) -> Optional[Set]:
-    """Return {s, t} when the graph is a petal (all nodes of a cycle
-    when it is one), else None."""
-    if graph.node_count() < 2 or not graph.is_connected():
-        return None
-    if graph.has_loops():
-        return None
-    exceptional = [
-        node for node in graph.nodes() if graph.degree(node) != 2
-    ]
+def is_flower(graph: Multigraph) -> bool:
+    """Is there a core x making every attachment a chain, tree or petal
+    rooted at x?  Trees are flowers; so are cycles (x on the cycle)."""
+    facts = graph.facts()
+    if facts.node_count == 0:
+        return True
+    return len(facts.components) == 1 and _flower_component(facts, facts.components[0])
+
+
+def is_flower_set(graph: Multigraph) -> bool:
+    """Whether every component is a flower (petals + external chains)."""
+    facts = graph.facts()
+    return all(_flower_component(facts, component) for component in facts.components)
+
+
+def _petal_endpoints(
+    nodes: Sequence[int],
+    adjacency: Mapping[int, Mapping[int, int]],
+    degrees: Mapping[int, int],
+) -> Optional[Set[int]]:
+    """Return {s, t} when the graph on *nodes* is a petal (all nodes of
+    a cycle when it is one), else None.
+
+    The graph must be connected and loop-free, with at least two nodes;
+    ``adjacency[v]`` maps v's neighbors among *nodes* to multiplicities.
+    """
+    exceptional = [node for node in nodes if degrees[node] != 2]
     if not exceptional:
-        # A plain cycle: any two nodes work as s/t.
-        if graph.edge_count() == graph.node_count():
-            return set(graph.nodes())
-        return None
+        return set(nodes)  # a plain cycle: any two nodes work as s/t
     if len(exceptional) != 2:
         return None
     s, t = exceptional
-    p = graph.degree(s)
-    if graph.degree(t) != p or p < 3:
+    p = degrees[s]
+    if degrees[t] != p or p < 3:
         return None
     # Every maximal degree-2 path must run from s to t (no s–s or t–t
     # lobes), and together with direct s–t edges there must be p paths.
-    direct = graph.multiplicity(s, t)
-    interior = graph.induced_subgraph(set(graph.nodes()) - {s, t})
-    path_count = direct
-    for component in interior.connected_components():
-        component_graph = interior.induced_subgraph(component)
-        if not is_chain(component_graph):
-            return None
-        attachments_s = sum(
-            graph.multiplicity(node, s) for node in component
-        )
-        attachments_t = sum(
-            graph.multiplicity(node, t) for node in component
-        )
-        if attachments_s != 1 or attachments_t != 1:
+    path_count = adjacency[s].get(t, 0)
+    for component in _parts_without(nodes, adjacency, (s, t)):
+        if not _is_path_from_s_to_t(component, adjacency, s, t):
             return None
         path_count += 1
     if path_count != p:
@@ -182,64 +185,82 @@ def _petal_endpoints(graph: Multigraph) -> Optional[Set]:
     return {s, t}
 
 
-def is_flower(graph: Multigraph) -> bool:
-    """Is there a core x making every attachment a chain, tree or petal
-    rooted at x?  Trees are flowers; so are cycles (x on the cycle)."""
-    if graph.node_count() == 0:
-        return True
-    if not graph.is_connected():
-        return False
-    if is_tree(graph):
-        return True
-    for core in graph.nodes():
-        if _is_flower_with_core(graph, core):
-            return True
-    return False
+def _parts_without(
+    nodes: Iterable[int], adjacency: Mapping[int, Mapping[int, int]], removed: Iterable[int]
+) -> Iterator[List[int]]:
+    """The connected components of the graph on *nodes* once the
+    *removed* nodes are deleted."""
+    seen = set(removed)
+    for start in nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        part = [start]
+        for node in part:  # grows while iterated: a BFS queue
+            for neighbor in adjacency[node]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    part.append(neighbor)
+        yield part
 
 
-def _is_flower_with_core(graph: Multigraph, core) -> bool:
+def _is_path_from_s_to_t(
+    component: List[int], adjacency: Mapping[int, Mapping[int, int]], s: int, t: int
+) -> bool:
+    """Whether an interior component is a chain attached by exactly one
+    edge to each of s and t."""
+    to_s = to_t = endpoints = 0
+    for node in component:
+        inner = 0
+        for neighbor, multiplicity in adjacency[node].items():
+            if neighbor == s:
+                to_s += multiplicity
+            elif neighbor == t:
+                to_t += multiplicity
+            elif multiplicity > 1:
+                return False
+            else:
+                inner += 1
+        if inner > 2:
+            return False
+        if inner == 1:
+            endpoints += 1
+    return to_s == 1 and to_t == 1 and (len(component) == 1 or endpoints == 2)
+
+
+def _flower_component(facts: GraphFacts, component: List[int]) -> bool:
+    """Whether the subgraph on one connected *component* is a flower."""
+    degrees = facts.degrees
+    # A connected multigraph with |V| - 1 edges (loops and multiplicity
+    # counted) is a tree.
+    if sum(degrees[node] for node in component) == 2 * (len(component) - 1):
+        return True
+    return any(_is_flower_with_core(facts, component, core) for core in component)
+
+
+def _is_flower_with_core(facts: GraphFacts, component: List[int], core: int) -> bool:
     # Loops directly at the core are length-1 petals: strip them before
     # examining attachments (they would otherwise spoil every test).
-    rest = graph.remove_node(core)
-    for component in rest.connected_components():
-        attachment = _attachment_without_core_loops(graph, component, core)
-        if attachment.is_acyclic_simple():
+    adjacency, degrees, loops = facts.adjacency, facts.degrees, facts.loops
+    for part in _parts_without(component, adjacency, (core,)):
+        # The attachment is the part plus the core, without core loops;
+        # it is connected, so it is a tree iff it has |part| edges.
+        core_row = {
+            node: adjacency[node][core] for node in part if core in adjacency[node]
+        }
+        to_core = sum(core_row.values())
+        if (sum(degrees[node] for node in part) + to_core) // 2 == len(part):
             continue  # stamen (chain) or stem (tree)
-        endpoints = _petal_endpoints(attachment)
-        if endpoints is not None and core in endpoints:
-            continue  # petal rooted at the core
-        return False
+        if any(node in loops for node in part):
+            return False
+        local_adjacency = {node: adjacency[node] for node in part}
+        local_adjacency[core] = core_row
+        local_degrees = {node: degrees[node] for node in part}
+        local_degrees[core] = to_core
+        endpoints = _petal_endpoints([core] + part, local_adjacency, local_degrees)
+        if endpoints is None or core not in endpoints:
+            return False  # not a petal rooted at the core
     return True
-
-
-def _attachment_without_core_loops(
-    graph: Multigraph, component: Set, core
-) -> Multigraph:
-    attachment = Multigraph()
-    nodes = set(component) | {core}
-    for node in nodes:
-        attachment.add_node(node)
-        if node != core:
-            for _ in range(graph.loops_at(node)):
-                attachment.add_edge(node, node)
-    seen = set()
-    for u in nodes:
-        for v in graph.neighbors(u):
-            if v in nodes and u != v:
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
-                    for _ in range(graph.multiplicity(u, v)):
-                        attachment.add_edge(u, v)
-    return attachment
-
-
-def is_flower_set(graph: Multigraph) -> bool:
-    """Whether every component is a flower (petals + external chains)."""
-    return all(
-        is_flower(graph.induced_subgraph(component))
-        for component in graph.connected_components()
-    )
 
 
 @dataclass(frozen=True)

@@ -520,6 +520,13 @@ def study_corpus(
     *transport* (when given) receives the run's shipped-bytes and
     merge-time accounting.
 
+    Pooled chunks reach their workers as pickled query ASTs.  A
+    ``workers>1`` call without a *pool* also starts and stops a pool
+    of its own, and its worker caches die with it; on a small corpus
+    that costs more than the workers save.  For repeated multi-worker
+    runs, :class:`repro.api.AnalysisSession` is the fast path: one
+    persistent pool whose worker caches stay warm across runs.
+
     *options* selects passes (``metrics``), configures the shape-node
     limit and structural cache, and enables per-pass profiling (the
     profile lands on ``CorpusStudy.pass_profile``).

@@ -44,11 +44,9 @@ class TreewidthResult:
         return NotImplemented
 
 
-def _simple_adjacency(graph: Multigraph) -> Dict[object, Set[object]]:
-    adjacency = graph.simple_graph()
-    for node, neighbors in adjacency.items():
-        neighbors.discard(node)
-    return adjacency
+def _simple_adjacency(graph: Multigraph) -> Dict[int, Set[int]]:
+    """The simplified graph over the multigraph's dense node ids."""
+    return {node: set(row) for node, row in enumerate(graph.facts().adjacency)}
 
 
 def treewidth_at_most_2(graph: Multigraph) -> bool:
@@ -166,15 +164,17 @@ def treewidth(graph: Multigraph, exact_limit: int = 40) -> TreewidthResult:
     upper bound (``exact=False``).  The sieves decide widths 0–2
     without any search, which covers >99.9% of real query graphs.
     """
-    if graph.node_count() == 0:
+    facts = graph.facts()
+    simple_edges = sum(facts.component_edges)
+    if simple_edges == 0:
         return TreewidthResult(0, True)
-    adjacency = _simple_adjacency(graph)
-    if not any(adjacency.values()):
-        return TreewidthResult(0, True)
-    if graph.is_acyclic_simple() or _forest(adjacency):
+    # The simplified graph (loops and multiplicity dropped, which never
+    # change treewidth) is a forest iff it has V - C edges.
+    if simple_edges == facts.node_count - len(facts.components):
         return TreewidthResult(1, True)
     if treewidth_at_most_2(graph):
         return TreewidthResult(2, True)
+    adjacency = _simple_adjacency(graph)
     if graph.node_count() > exact_limit:
         return TreewidthResult(_min_fill_upper_bound(adjacency), False)
     upper = _min_fill_upper_bound(adjacency)
@@ -184,24 +184,3 @@ def treewidth(graph: Multigraph, exact_limit: int = 40) -> TreewidthResult:
             return TreewidthResult(k, True)
     return TreewidthResult(upper, True)
 
-
-def _forest(adjacency: Dict[object, Set[object]]) -> bool:
-    """Forest test on a simple adjacency map (handles the case where
-    the multigraph had loops/parallel edges that simplification drops —
-    they do not change treewidth)."""
-    visited: Set[object] = set()
-    for start in adjacency:
-        if start in visited:
-            continue
-        stack = [(start, None)]
-        visited.add(start)
-        while stack:
-            node, parent = stack.pop()
-            for neighbor in adjacency[node]:
-                if neighbor == parent:
-                    continue
-                if neighbor in visited:
-                    return False
-                visited.add(neighbor)
-                stack.append((neighbor, node))
-    return True

@@ -17,7 +17,7 @@ Implements three ingredients of the paper's CQOF classification:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..rdf.terms import Variable
 from ..sparql import ast, walk
@@ -151,27 +151,47 @@ def to_binary_algebra(pattern: Optional[ast.Pattern]) -> AlgebraNode:
 
 def is_well_designed(node: AlgebraNode) -> bool:
     """Check Definition 5.3 on a binary AOF algebra tree."""
-    return _check_well_designed(node, set())
+    variables: Dict[int, Set[Variable]] = {}
+    _subtree_variables(node, variables)
+    return _check_well_designed(node, set(), variables)
 
 
-def _check_well_designed(node: AlgebraNode, outside: Set[Variable]) -> bool:
+def _subtree_variables(
+    node: AlgebraNode, variables: Dict[int, Set[Variable]]
+) -> Set[Variable]:
+    """vars() of *node*, computed bottom-up once; records the set of
+    every algebra node and filter expression under its ``id``."""
+    if isinstance(node, (AlgebraJoin, AlgebraLeftJoin)):
+        result = _subtree_variables(node.left, variables) | _subtree_variables(
+            node.right, variables
+        )
+    elif isinstance(node, AlgebraFilter):
+        constraint = variables[id(node.expression)] = walk.expression_variables(
+            node.expression
+        )
+        result = _subtree_variables(node.operand, variables) | constraint
+    else:
+        result = node.variables()
+    variables[id(node)] = result
+    return result
+
+
+def _check_well_designed(
+    node: AlgebraNode, outside: Set[Variable], variables: Dict[int, Set[Variable]]
+) -> bool:
     if isinstance(node, (AlgebraEmpty, AlgebraTriple)):
         return True
-    if isinstance(node, AlgebraJoin):
-        return _check_well_designed(
-            node.left, outside | node.right.variables()
-        ) and _check_well_designed(node.right, outside | node.left.variables())
     if isinstance(node, AlgebraFilter):
         return _check_well_designed(
-            node.operand, outside | walk.expression_variables(node.expression)
+            node.operand, outside | variables[id(node.expression)], variables
         )
-    if isinstance(node, AlgebraLeftJoin):
-        optional_only = node.right.variables() - node.left.variables()
-        if optional_only & outside:
+    if isinstance(node, (AlgebraJoin, AlgebraLeftJoin)):
+        left, right = variables[id(node.left)], variables[id(node.right)]
+        if isinstance(node, AlgebraLeftJoin) and (right - left) & outside:
             return False
         return _check_well_designed(
-            node.left, outside | node.right.variables()
-        ) and _check_well_designed(node.right, outside | node.left.variables())
+            node.left, outside | right, variables
+        ) and _check_well_designed(node.right, outside | left, variables)
     raise TypeError(f"unknown algebra node {node!r}")
 
 
@@ -253,14 +273,13 @@ def interface_width(tree: PatternTreeNode) -> int:
     classification treats as ≤ 1 (plain CQs and CQFs are CQOF).
     """
     width = 0
-    stack = [tree]
+    stack = [(tree, tree.label_variables())]
     while stack:
-        node = stack.pop()
-        node_vars = node.label_variables()
+        node, node_vars = stack.pop()
         for child in node.children:
-            shared = node_vars & child.label_variables()
-            width = max(width, len(shared))
-            stack.append(child)
+            child_vars = child.label_variables()
+            width = max(width, len(node_vars & child_vars))
+            stack.append((child, child_vars))
     return width
 
 

@@ -67,26 +67,6 @@ class TestComponents:
         components = sorted(g.connected_components(), key=len)
         assert [len(c) for c in components] == [2, 3]
 
-    def test_induced_subgraph(self):
-        g = build((1, 2), (2, 3), (3, 1))
-        sub = g.induced_subgraph({1, 2})
-        assert sub.node_count() == 2
-        assert sub.edge_count() == 1
-
-    def test_induced_subgraph_keeps_loops_and_multiplicity(self):
-        g = build((1, 1), (1, 2), (1, 2))
-        sub = g.induced_subgraph({1, 2})
-        assert sub.loops_at(1) == 1
-        assert sub.multiplicity(1, 2) == 2
-
-    def test_remove_node(self):
-        g = build((1, 2), (2, 3))
-        removed = g.remove_node(2)
-        assert removed.node_count() == 2
-        assert removed.edge_count() == 0
-        # original untouched
-        assert g.node_count() == 3
-
     def test_copy(self):
         g = build((1, 2))
         clone = g.copy()

@@ -12,9 +12,11 @@ from repro.analysis.context import (
     graph_signature,
     hypergraph_signature,
 )
+from repro.analysis.graphutil import Multigraph
 from repro.analysis.parallel import measure_chunk, study_corpus_parallel
 from repro.analysis.study import study_corpus
 from repro.logs import build_query_log
+from repro.rdf import IRI, BlankNode, Literal, Variable
 from repro.reporting import render_study
 from repro.sparql import parse_query
 
@@ -188,3 +190,75 @@ class TestSignatures:
         a = hypergraph_of("ASK { ?a ?p ?b . ?b <urn:k> ?c }")
         b = hypergraph_of("ASK { ?a ?p ?b . ?c <urn:k> ?d }")
         assert hypergraph_signature(a) != hypergraph_signature(b)
+
+
+def _multigraph(edges, isolated=()):
+    graph = Multigraph()
+    for u, v in edges:
+        graph.add_edge(u, v)
+    for node in isolated:
+        graph.add_node(node)
+    return graph
+
+
+_X, _Y, _Z, _W = (Variable(name) for name in "xyzw")
+_C, _D, _B = IRI("urn:c"), Literal("d"), BlankNode("b0")
+
+
+class TestSignaturePins:
+    """Exact signatures of fixed graphs.  The persistent store keys its
+    rows by these tuples, so the edge enumeration order they encode
+    (pairs from their first-inserted endpoint, then loops in order of
+    each node's first loop) must never drift."""
+
+    def test_loops(self):
+        graph = _multigraph([(_X, _Y), (_Y, _Y), (_X, _X), (_Y, _Y)])
+        assert graph_signature(graph) == (
+            ((0, "v"), (1, "v"), 1),
+            ((1, "v"), (1, "v"), 2),
+            ((0, "v"), (0, "v"), 1),
+        )
+
+    def test_parallel_edges(self):
+        graph = _multigraph([(_X, _Y), (_Y, _Z), (_Y, _X), (_Z, _Y), (_X, _Y)])
+        assert graph_signature(graph) == (
+            ((0, "v"), (1, "v"), 3),
+            ((1, "v"), (2, "v"), 2),
+        )
+
+    def test_isolated_nodes(self):
+        graph = _multigraph([(_X, _C)], isolated=[_Z, _D, _X])
+        assert graph_signature(graph) == (
+            ((0, "v"), (1, "c"), 1),
+            ("isolated", (2, "v")),
+            ("isolated", (3, "c")),
+        )
+
+    def test_constants_versus_variables(self):
+        graph = _multigraph([(_C, _X), (_X, _D), (_D, _B), (_B, _C)])
+        assert graph_signature(graph) == (
+            ((0, "c"), (1, "v"), 1),
+            ((0, "c"), (2, "v"), 1),
+            ((1, "v"), (3, "c"), 1),
+            ((3, "c"), (2, "v"), 1),
+        )
+
+    def test_pair_reported_from_earlier_endpoint(self):
+        graph = _multigraph([(_Y, _Z), (_X, _W), (_W, _Y), (_Z, _X)])
+        assert graph_signature(graph) == (
+            ((0, "v"), (1, "v"), 1),
+            ((0, "v"), (2, "v"), 1),
+            ((1, "v"), (3, "v"), 1),
+            ((3, "v"), (2, "v"), 1),
+        )
+
+    def test_canonical_graph_with_equality_collapse(self):
+        graph = graph_of(
+            "SELECT * WHERE { ?s <urn:p> ?o . ?o <urn:q> <urn:k> . "
+            "?o <urn:r> ?s . ?t <urn:p> ?t . FILTER(?t = ?s) }"
+        )
+        assert graph_signature(graph) == (
+            ((0, "v"), (1, "v"), 2),
+            ((1, "v"), (2, "c"), 1),
+            ((0, "v"), (0, "v"), 1),
+        )
